@@ -12,7 +12,7 @@ Matrices travel as JSON: {"dim": n, "entries": [row major floats], "n1": n1};
 covariance models wrap one under a "sigma" key with "n1", "n2" and optional
 "a". check exits 0 when a sufficient criterion certifies divisibility, 2 when
 nothing was decided, 3 when a dual-confirmed negative cell disproves it, and
-1 on bad input.
+1 on bad input or a trace-sum grid with non-finite cells.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import criteria, laplace, matcore, model, sampling, tracesum, verify
-from .errors import InfdivError
+from .errors import InfdivError, NonFiniteResult
 from .model import A_GRID_DEFAULT, BlockMatrix, CovarianceModel
 from .tracesum import ENUM_CAP
 
@@ -193,11 +193,22 @@ def _swap_model(mdl: CovarianceModel) -> CovarianceModel:
     return CovarianceModel(matcore.SymMatrix.from_array(s), mdl.n2, mdl.n1, mdl.a)
 
 
+def _finite_grid(t: BlockMatrix, kmax: int, mmax: int) -> np.ndarray:
+    """dp_grid, refusing non-finite cells: a NaN compares False against the
+    negative-cell threshold and would otherwise pass as Undetermined."""
+    grid = tracesum.dp_grid(t, kmax, mmax)
+    bad = grid.size - np.count_nonzero(np.isfinite(grid))
+    if bad:
+        raise NonFiniteResult(f"{bad} of {grid.size} trace-sum cells are not "
+                              f"finite at kmax={kmax}, mmax={mmax}")
+    return grid
+
+
 def _scan_for_witness(t: BlockMatrix, kmax: int, mmax: int, a: float | None,
                       notes: list[str]):
     """DP-scan one tilt-like matrix; return a confirmed negative cell or the
     grid minimum. Result: (negative_cell | None, min_info dict)."""
-    grid = tracesum.dp_grid(t, kmax, mmax)
+    grid = _finite_grid(t, kmax, mmax)
     idx = np.unravel_index(int(np.argmin(grid)), grid.shape)
     min_info = {"k": int(idx[0]), "m": int(idx[1]), "value": float(grid[idx]),
                 "a": a}
@@ -238,14 +249,11 @@ def _check_sigma(args) -> tuple[Verdict, dict]:
         reasons.append(criteria.shanbhag_check(work))
         return done(CERTIFIED)
 
-    # 2: exhaustive sign search on the inverse covariance
-    if mdl.sigma.dim <= criteria.GB_DIM_CAP:
-        rep = criteria.griffiths_bapat_check(mdl.sigma)
-        reasons.append(rep)
-        if rep.holds:
-            return done(CERTIFIED)
-    else:
-        notes.append("dimension above the sign-search cap; step skipped")
+    # 2: sign-flip balance check on the inverse covariance
+    rep = criteria.griffiths_bapat_check(mdl.sigma)
+    reasons.append(rep)
+    if rep.holds:
+        return done(CERTIFIED)
 
     # 3: signature criterion on the inverse covariance blocks (2+2 only)
     if mdl.n1 == 2 and mdl.n2 == 2:
@@ -449,7 +457,7 @@ def cmd_search(args) -> int:
                            "quantity": rep.detail["quantity"]})
             continue
         scanned += 1
-        grid = tracesum.dp_grid(t, cfg.kmax, cfg.mmax)
+        grid = _finite_grid(t, cfg.kmax, cfg.mmax)
         idx = np.unravel_index(int(np.argmin(grid)), grid.shape)
         entry = {"trial": i, "quantity": rep.detail["quantity"],
                  "min_cell": {"k": int(idx[0]), "m": int(idx[1]),
@@ -534,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (default 0)")
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="reserved; every code path is single threaded")
     shared.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the artifact to this path")
     shared.add_argument("--format", choices=("csv", "json"),
@@ -548,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments.")
     # None so an explicit --seed is distinguishable from the default
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved; every code path is single threaded")
     ap.add_argument("--output", default=None)
     ap.add_argument("--format", choices=("csv", "json"), default=None)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -5,8 +5,8 @@ The common geometry: conjugate a positive definite block matrix A by a
 block-diagonal orthogonal matrix diag(U1, U2) (a "signature matrix") and ask
 for sign structure of the result. Three checks are implemented:
 
-* sign-flip search on the inverse covariance (Griffiths-Bapat, all-coordinate
-  joint divisibility),
+* sign-flip balance check on the inverse covariance (Griffiths-Bapat,
+  all-coordinate joint divisibility),
 * nonnegative-entry signature conjugation of the 2+2 tilt matrix, decided by
   a scalar inequality on the rotated off-diagonal block and made constructive
   (word positivity),
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import matcore
 from .errors import (
-    CapExceeded,
     NotPositiveDefinite,
     PreconditionViolated,
     ShapeError,
@@ -43,7 +42,6 @@ QUANTITY_TOL = 1e-12
 # entrywise allowance for constructed witnesses
 WITNESS_TOL = 1e-10
 GB_TOL = 1e-12
-GB_DIM_CAP = 20
 SHANBHAG_M_CAP = 8
 
 
@@ -358,40 +356,54 @@ def precision_signature_check(model: CovarianceModel) -> CriterionReport:
 
 
 def griffiths_bapat_check(sigma, tol: float = GB_TOL) -> CriterionReport:
-    """Sign-vector search: is D Sigma^(-1) D an (off-diagonally) nonpositive
-    matrix for some D = diag(+-1)?
+    """Is D Sigma^(-1) D off-diagonally <= tol for some D = diag(+-1)?
 
-    Exhaustive over 2^(n-1) sign vectors (the first sign is fixed +1 by the
-    conjugation symmetry), in index order so the reported witness is the
-    lowest one. Capped at n = 20.
+    Entry p = Sigma^(-1)[i, j] allows s_i s_j = +1 iff p <= tol and
+    s_i s_j = -1 iff -p <= tol. A non-finite p, or a pair allowing neither
+    product, fails the check (it is never free); pairs allowing exactly one
+    product are the edges of a signed graph. A sign
+    vector exists iff that graph is balanced (Harary, Michigan Math. J. 2,
+    1953), which a breadth-first 2-colouring decides in O(n^2).
+
+    The witness has s_0 = +1 (the conjugation symmetry) and every other
+    component oriented so its highest index is +1: the lowest valid vector
+    when s_1 .. s_(n-1) are read as binary digits, -1 a set bit and
+    s_(n-1) the most significant.
     """
     s = sigma.entries if isinstance(sigma, matcore.SymMatrix) else matcore.symmetrize(sigma)
     n = s.shape[0]
-    if n > GB_DIM_CAP:
-        raise CapExceeded(f"dimension {n} exceeds sign-search cap {GB_DIM_CAP}")
     inv = matcore.inverse_spd(s)
+    fails = CriterionReport(criterion="griffiths-bapat", holds=False, witness=None, detail={})
+    equal_ok = inv <= tol
+    opposite_ok = -inv <= tol
     off_mask = ~np.eye(n, dtype=bool)
-    total = 1 << (n - 1)
-    chunk = 4096
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        signs = np.ones((idx.size, n))
-        for i in range(n - 1):
-            signs[:, i + 1] = 1.0 - 2.0 * ((idx >> i) & 1)
-        conj = signs[:, :, None] * signs[:, None, :] * inv[None, :, :]
-        ok = (conj[:, off_mask] <= tol).all(axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            witness = signs[hits[0]]
-            worst = float(conj[hits[0]][off_mask].max())
-            return CriterionReport(
-                criterion="griffiths-bapat",
-                holds=True,
-                witness=witness,
-                detail={"max_offdiag": worst},
-            )
+    if not ((equal_ok | opposite_ok) & np.isfinite(inv))[off_mask].all():
+        return fails
+    edges = (equal_ok != opposite_ok) & off_mask
+    adjacency = [np.flatnonzero(row).tolist() for row in edges]
+    # on an edge, opposite_ok says the pair must take opposite signs
+    flip = opposite_ok.tolist()
+    negative = [None] * n
+    for root in (0, *range(n - 1, 0, -1)):
+        if negative[root] is not None:
+            continue
+        negative[root] = False
+        queue = [root]
+        for i in queue:
+            for j in adjacency[i]:
+                want = negative[i] != flip[i][j]
+                if negative[j] is None:
+                    negative[j] = want
+                    queue.append(j)
+                elif negative[j] != want:
+                    return fails
+    witness = np.where(negative, -1.0, 1.0)
+    conj = np.outer(witness, witness) * inv
     return CriterionReport(
-        criterion="griffiths-bapat", holds=False, witness=None, detail={}
+        criterion="griffiths-bapat",
+        holds=True,
+        witness=witness,
+        detail={"max_offdiag": float(conj[off_mask].max())},
     )
 
 

@@ -17,6 +17,10 @@ class CapExceeded(InfdivError):
     """A size or degree cap protecting runtime/memory was exceeded."""
 
 
+class NonFiniteResult(InfdivError):
+    """A computation produced NaN or infinity where a finite value is needed."""
+
+
 class PreconditionViolated(InfdivError):
     """A documented precondition of the operation does not hold."""
 

@@ -14,6 +14,7 @@ practice) and favors exactness of conventions over speed:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,27 +80,37 @@ class EigenPair2:
 
 
 def eigen2(m) -> EigenPair2:
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix."""
-    arr = np.asarray(m, dtype=float)
-    a, b, c = arr[0, 0], arr[0, 1], arr[1, 1]
-    if b == 0.0:
+    """Closed-form eigendecomposition of a symmetric 2x2 matrix.
+
+    The closed form runs on the matrix scaled by the power of two that puts
+    its largest |entry| in [0.5, 1): b*b cannot overflow, subnormals keep
+    their bits, and normal-range results are bit-identical to no scaling.
+    An off-diagonal entry that would be subnormal after scaling counts as 0.
+    """
+    (a, b), (_, c) = np.asarray(m, dtype=float).tolist()
+    _, e = math.frexp(max(abs(a), abs(b), abs(c)))
+    if math.ldexp(abs(b), -e) <= sys.float_info.min:
         if a >= c:
             # includes the identity-multiple case a == c: v1 = (1, 0)
-            return EigenPair2(a, c, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        return EigenPair2(c, a, np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+            return EigenPair2(np.float64(a), np.float64(c),
+                              np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        return EigenPair2(np.float64(c), np.float64(a),
+                          np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     h = 0.5 * (a - c)
     r = math.hypot(h, b)
     mid = 0.5 * (a + c)
-    lam1, lam2 = mid + r, mid - r
+    # numpy scalars, as for the unscaled entries: callers take lambda ** -0.5,
+    # which is nan for a roundoff-negative numpy value but complex for a float
+    lam1, lam2 = np.float64(math.ldexp(mid + r, e)), np.float64(math.ldexp(mid - r, e))
     # v1 is parallel to (lam1 - c, b); the first component is computed in a
     # cancellation-free form, positive whenever b != 0
     x = h + r if h >= 0 else b * b / (r - h)
     nrm = math.hypot(x, b)
-    v1 = np.array([x / nrm, b / nrm])
-    if v1[0] < 0 or (v1[0] == 0 and v1[1] < 0):
-        v1 = -v1
-    v2 = np.array([-v1[1], v1[0]])
-    return EigenPair2(lam1, lam2, v1, v2)
+    x, y = x / nrm, b / nrm
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return EigenPair2(lam1, lam2, np.array([x, y]), np.array([-y, x]))
 
 
 def eigen_sym(m, tol: float = 1e-14, max_sweeps: int = 64):

@@ -53,6 +53,16 @@ def test_check_identity_certifies(tmp_path, capsys):
     assert "griffiths-bapat" in out
 
 
+def test_check_large_model_runs_griffiths_bapat(tmp_path, capsys):
+    # no dimension cap: a 22-dim model still gets the balance check
+    path = sigma_file(tmp_path, np.eye(22), 11)
+    code, out, _ = run(capsys, ["check", "--sigma", path, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"]["reasons"][0]["criterion"] == "griffiths-bapat"
+    assert not any("cap" in note for note in payload["notes"])
+
+
 def test_check_scalar_block_certifies(tmp_path, capsys):
     sigma = [[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]]
     code, out, _ = run(capsys, ["check", "--sigma", sigma_file(tmp_path, sigma, 1)])
@@ -112,6 +122,17 @@ def test_check_a_grid_flag_and_file(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, ["check", "--sigma", path, "--a-grid", "10,1"])
     assert code == 1
+
+
+def test_check_non_finite_grid_is_an_error(tmp_path, capsys):
+    # spectral radius 21: (k+m)-th powers overflow long before k+m = 400
+    q = q_file(tmp_path, cli.FIGURE_MATRIX * (21.0 / 0.8101408171415954), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["check", "--q", q, "--kmax", "200",
+                                      "--mmax", "200"])
+    assert code == 1
+    assert "NonFiniteResult" in err and "not finite" in err
+    assert "Undetermined" not in out
 
 
 def test_check_negative_cell_verdict(monkeypatch, demo_q, capsys):
@@ -215,6 +236,26 @@ def test_search_family_selftest_gate(monkeypatch, capsys):
     code, _, err = run(capsys, ["search", "--trials", "2"])
     assert code == 1
     assert "self-test failed" in err
+
+
+def test_search_non_finite_grid_is_an_error(monkeypatch, capsys):
+    from infdiv import criteria
+
+    def open_regime(t):
+        return criteria.CriterionReport("word-positivity", False, None,
+                                        {"quantity": -1.0})
+
+    def nan_grid(t, kmax, mmax):
+        g = np.full((kmax + 1, mmax + 1), 1.0)
+        g[4, 4] = np.nan
+        return g
+
+    monkeypatch.setattr(criteria, "word_positivity_check", open_regime)
+    monkeypatch.setattr(tracesum, "dp_grid", nan_grid)
+    code, out, err = run(capsys, ["search", "--trials", "2", "--kmax", "5",
+                                  "--mmax", "5"])
+    assert code == 1
+    assert "1 of 36 trace-sum cells are not finite" in err
 
 
 def test_verify_subcommand(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from infdiv import (
     BlockMatrix,
-    CapExceeded,
     CovarianceModel,
     PreconditionViolated,
     ShapeError,
@@ -24,7 +23,8 @@ from infdiv import (
     trace_sum_dp,
     word_positivity_check,
 )
-from infdiv.criteria import QUANTITY_TOL
+from infdiv import criteria, matcore
+from infdiv.criteria import GB_TOL, QUANTITY_TOL
 from infdiv.model import DeltaEpsilonFamily
 
 
@@ -182,9 +182,88 @@ def test_griffiths_bapat_needs_sign_flip():
     assert off.max() <= 1e-12
 
 
-def test_griffiths_bapat_dimension_cap():
-    with pytest.raises(CapExceeded):
-        griffiths_bapat_check(np.eye(21))
+def _brute_force_griffiths_bapat(sigma, tol=GB_TOL):
+    """Reference: try all 2^(n-1) sign vectors with s_0 = +1 in index order
+    (bit i of the index set means s_(i+1) = -1); the first valid one wins."""
+    inv = matcore.inverse_spd(sigma)
+    n = inv.shape[0]
+    off_mask = ~np.eye(n, dtype=bool)
+    for idx in range(1 << (n - 1)):
+        signs = np.ones(n)
+        for i in range(n - 1):
+            signs[i + 1] = 1.0 - 2.0 * ((idx >> i) & 1)
+        conj = signs[:, None] * signs[None, :] * inv
+        if (conj[off_mask] <= tol).all():
+            return True, signs, {"max_offdiag": float(conj[off_mask].max())}
+    return False, None, {}
+
+
+def _gb_true_sigma(gen, n):
+    """Covariance whose precision is D M D: M diagonally dominant with
+    off-diagonals <= 0, about half of them exactly zero so the signed graph
+    often splits into several components; D a random sign diagonal."""
+    m = -np.abs(gen.standard_normal((n, n))) * (gen.random((n, n)) < 0.5)
+    m = np.triu(m, 1)
+    m = m + m.T
+    np.fill_diagonal(m, np.abs(m).sum(axis=1) + 0.1 + gen.random(n))
+    d = np.diag(gen.choice([-1.0, 1.0], n))
+    return np.linalg.inv(d @ m @ d)
+
+
+def _assert_matches_brute_force(sigma):
+    rep = griffiths_bapat_check(sigma)
+    holds, witness, detail = _brute_force_griffiths_bapat(sigma)
+    assert rep.holds == holds
+    if holds:
+        npt.assert_array_equal(rep.witness, witness)
+    else:
+        assert rep.witness is None
+    assert rep.detail == detail
+    return holds
+
+
+def test_griffiths_bapat_matches_brute_force_when_true():
+    gen = np.random.default_rng(1953)
+    for _ in range(150):
+        assert _assert_matches_brute_force(_gb_true_sigma(gen, int(gen.integers(2, 11))))
+
+
+def test_griffiths_bapat_matches_brute_force_when_false():
+    gen = np.random.default_rng(1984)
+    failed = 0
+    for _ in range(150):
+        n = int(gen.integers(2, 11))
+        g = gen.standard_normal((n, n))
+        failed += not _assert_matches_brute_force(g.T @ g / n + 0.1 * np.eye(n))
+    assert failed >= 100  # dense random precisions are almost never balanced
+
+
+def test_griffiths_bapat_large_dimension_certifies():
+    sigma = _gb_true_sigma(np.random.default_rng(1989), 40)
+    rep = griffiths_bapat_check(sigma)
+    assert rep.holds
+    signs = np.asarray(rep.witness)
+    assert signs[0] == 1.0
+    conj = np.outer(signs, signs) * np.linalg.inv(sigma)
+    assert (conj - np.diag(np.diag(conj))).max() <= GB_TOL
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_griffiths_bapat_non_finite_never_free(monkeypatch, value):
+    # identity precision holds; one non-finite pair must make it fail, not go
+    # free: an infinite precision entry certifies nothing, whatever its sign
+    inv = np.eye(3)
+    inv[0, 1] = inv[1, 0] = value
+    monkeypatch.setattr(matcore, "inverse_spd", lambda s: inv.copy())
+    rep = griffiths_bapat_check(np.eye(3))
+    assert not rep.holds
+    assert rep.witness is None
+
+
+def test_griffiths_bapat_no_dimension_cap():
+    rep = griffiths_bapat_check(np.eye(21))
+    assert rep.holds
+    npt.assert_array_equal(rep.witness, np.ones(21))
 
 
 def test_precision_check_identity_and_family():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infdiv import (
@@ -82,6 +82,8 @@ def test_eigen2_family_gram_block():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))
+@example([1.0, 2.2250738585e-313, 1.0])
+@example([0.0, 2.2250738585e-313, 0.0])
 def test_eigen2_reconstructs(entries):
     a, b, c = entries
     m = np.array([[a, b], [b, c]])
@@ -92,6 +94,18 @@ def test_eigen2_reconstructs(entries):
     assert np.abs(recon - m).max() <= 1e-12 * scale
     assert pair.lambda1 >= pair.lambda2
     assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-12
+
+
+def test_eigen2_huge_offdiag_stays_finite():
+    # b*b overflows unless the matrix is scaled before the closed form
+    m = np.array([[1.0, 1e200], [1e200, 3.0]])
+    pair = eigen2(m)
+    v = pair.matrix
+    assert np.isfinite(v).all()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-12
+    npt.assert_allclose([pair.lambda1, pair.lambda2], [1e200, -1e200])
+    recon = v @ np.diag([pair.lambda1, pair.lambda2]) @ v.T
+    assert np.abs(recon - m).max() <= 1e-12 * 1e200
 
 
 def test_eigen_sym_against_numpy(rng):
