@@ -167,16 +167,16 @@ def find_negative_cells(grid: np.ndarray) -> list[tuple[int, int, float]]:
 def _confirm_negative(t: BlockMatrix, k: int, m: int, dp_value: float):
     """Dual confirmation of a candidate negative cell.
 
-    Returns (confirmed, note). Within the enumeration cap both evaluators
-    must be negative and agree; beyond it the dp value stands alone and the
-    note says so.
+    Returns (confirmed, enum, note). Within the enumeration cap both
+    evaluators must be negative and agree; beyond it enum is None, the dp
+    value stands alone and the note says so.
     """
     if k + m <= ENUM_CAP:
         enum = tracesum.trace_sum_enum(t, k, m).value
         if enum < 0 and abs(enum - dp_value) <= 1e-6 * max(1.0, abs(enum)):
-            return True, "confirmed by independent enumeration"
-        return False, f"evaluators disagree at ({k},{m}): enum={enum!r} dp={dp_value!r}"
-    return True, "beyond enumeration cap; dp evaluator only"
+            return True, enum, "confirmed by independent enumeration"
+        return False, enum, f"evaluators disagree at ({k},{m}): enum={enum!r} dp={dp_value!r}"
+    return True, None, "beyond enumeration cap; dp evaluator only"
 
 
 def _with_detail(rep: criteria.CriterionReport, **extra) -> criteria.CriterionReport:
@@ -213,7 +213,7 @@ def _scan_for_witness(t: BlockMatrix, kmax: int, mmax: int, a: float | None,
     min_info = {"k": int(idx[0]), "m": int(idx[1]), "value": float(grid[idx]),
                 "a": a}
     for k, m, v in find_negative_cells(grid):
-        confirmed, note = _confirm_negative(t, k, m, v)
+        confirmed, _, note = _confirm_negative(t, k, m, v)
         if confirmed:
             notes.append(f"negative cell at (k={k}, m={m}): {note}")
             return (k, m, a, v), min_info
@@ -286,7 +286,7 @@ def _check_q(args) -> tuple[Verdict, dict]:
     if args.a_grid:
         print("note: --a-grid is ignored for tilt-like input", file=sys.stderr)
     if not matcore.is_positive_definite(t.full):
-        raise InputError("tilt-like matrix must be positive definite")
+        raise InputError("tilt-like matrix must be finite and positive definite")
     reasons: list[criteria.CriterionReport] = []
     notes: list[str] = []
     payload = {"mode": "q", "n1": t.n1, "n2": t.n2,
@@ -464,13 +464,12 @@ def cmd_search(args) -> int:
                               "value": float(grid[idx])}}
         cells = []
         for k, m, v in find_negative_cells(grid):
-            cell = {"k": k, "m": m, "dp": v}
-            if k + m <= ENUM_CAP:
-                enum = tracesum.trace_sum_enum(t, k, m).value
+            confirmed, enum, _ = _confirm_negative(t, k, m, v)
+            # confirmed is None beyond the enumeration cap: dp only there
+            cell = {"k": k, "m": m, "dp": v,
+                    "confirmed": None if enum is None else confirmed}
+            if enum is not None:
                 cell["enumeration"] = enum
-                cell["confirmed"] = bool(enum < 0)
-            else:
-                cell["confirmed"] = None  # dp only at this depth
             cells.append(cell)
         entry["negative_cells"] = len(cells)
         trials.append(entry)

@@ -18,7 +18,8 @@ class CapExceeded(InfdivError):
 
 
 class NonFiniteResult(InfdivError):
-    """A computation produced NaN or infinity where a finite value is needed."""
+    """An input or a computation holds NaN or infinity where a finite value
+    is needed."""
 
 
 class PreconditionViolated(InfdivError):

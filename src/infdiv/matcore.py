@@ -1,14 +1,18 @@
 """Dense symmetric matrix kernels.
 
 Everything in here operates on small matrices (nothing bigger than 8x8 in
-practice) and favors exactness of conventions over speed:
+practice). The heavy lifting is numpy's LAPACK bindings; what this module
+adds are the documented conventions, as thin post-processing:
 
-* the general eigensolver is a cyclic Jacobi iteration, which delivers
-  eigenvector orthogonality to machine precision,
+* the general eigensolver is np.linalg.eigh, with eigenvalues put in
+  descending order (exact ties by the row of the eigenvector's largest
+  entry, so diagonal inputs keep index order) and each eigenvector's
+  largest-magnitude entry made positive,
 * the 2x2 eigenproblem has a dedicated closed form so that tie conventions
   (identity multiples, sign of the leading eigenvector) are honored exactly,
-* Cholesky is written out explicitly so the positive-definiteness test has a
-  well-defined pivot tolerance.
+* np.linalg.cholesky is followed by one pivot rule, min(diag L)^2 above
+  1e-12 * trace / dim, so the positive-definiteness test has a well-defined
+  tolerance; a non-finite entry is never positive definite.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import NonFiniteResult, NotPositiveDefinite
 
 
 def symmetrize(m) -> np.ndarray:
@@ -113,87 +117,56 @@ def eigen2(m) -> EigenPair2:
     return EigenPair2(lam1, lam2, np.array([x, y]), np.array([-y, x]))
 
 
-def eigen_sym(m, tol: float = 1e-14, max_sweeps: int = 64):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigen_sym(m):
+    """Eigendecomposition of a symmetric matrix (LAPACK, via np.linalg.eigh).
 
     Returns (eigenvalues descending, V orthogonal with matching columns).
     Reconstruction satisfies max|V^t M V - diag(lam)| <= 1e-10 * max|M|.
-    Eigenvector columns are sign-normalized: largest-magnitude entry positive.
+    Exactly tied eigenvalues are ordered by the row of their column's
+    largest-magnitude entry, so a diagonal input gets the identity columns
+    in index order (2*I and the zero matrix give V = I). Eigenvector columns
+    are sign-normalized: largest-magnitude entry positive, the first row
+    winning a tie in magnitude. A non-finite entry raises NonFiniteResult.
     """
     a = symmetrize(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        # convergence is measured on the off-diagonal entries directly;
-        # a Frobenius-difference test would floor at sqrt(eps)*scale
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # negligible couplings are zeroed, not rotated on, otherwise
-                # tau overflows and the sweep stalls
-                if abs(apq) <= 1e-36 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise RuntimeError("Jacobi iteration did not converge (internal error)")
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
+    if not np.isfinite(a).all():
+        raise NonFiniteResult("eigen_sym: the matrix has a non-finite entry")
+    lam, v = np.linalg.eigh(a)
+    lead = np.argmax(np.abs(v), axis=0)
+    order = np.lexsort((lead, -lam))
+    lam, v, lead = lam[order], v[:, order], lead[order]
+    v *= np.copysign(1.0, v[lead, np.arange(v.shape[1])])
     return lam, v
 
 
-def _cholesky_pivots(m: np.ndarray):
-    """Run the Cholesky recursion, returning (L, ok). ok is False as soon as a
-    pivot falls at or below 1e-12 * trace / dim."""
-    n = m.shape[0]
-    tol = 1e-12 * np.trace(m) / n
-    L = np.zeros_like(m)
-    for j in range(n):
-        d = m[j, j] - (L[j, :j] ** 2).sum()
-        if d <= tol:
-            return L, False
-        L[j, j] = math.sqrt(d)
-        for i in range(j + 1, n):
-            L[i, j] = (m[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-    return L, True
+def _factor(a: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor L of the symmetric array a, or None when a is not
+    positive definite: a non-finite entry, trace <= 0, a failed LAPACK
+    factorization, or a pivot L_jj^2 at or below 1e-12 * trace / dim."""
+    if not np.isfinite(a).all():
+        return None
+    trace = np.trace(a)
+    if trace <= 0.0:
+        return None
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if np.diag(L).min() ** 2 <= 1e-12 * trace / a.shape[0]:
+        return None
+    return L
 
 
 def is_positive_definite(m) -> bool:
-    """True iff the Cholesky recursion succeeds with every pivot above the
-    relative tolerance 1e-12 * trace / dim."""
-    a = symmetrize(m)
-    if np.trace(a) <= 0.0:
-        return False
-    _, ok = _cholesky_pivots(a)
-    return ok
+    """True iff the Cholesky factorization succeeds with every pivot above
+    the relative tolerance 1e-12 * trace / dim (finite entries only)."""
+    return _factor(symmetrize(m)) is not None
 
 
 def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L L^t == M, or NotPositiveDefinite."""
-    a = symmetrize(m)
-    L, ok = _cholesky_pivots(a)
-    if not ok or np.trace(a) <= 0.0:
+    L = _factor(symmetrize(m))
+    if L is None:
         raise NotPositiveDefinite("Cholesky pivot at or below tolerance")
     return L
 
@@ -201,23 +174,11 @@ def cholesky(m) -> np.ndarray:
 def solve_spd(m, rhs) -> np.ndarray:
     """Solve M x = rhs for symmetric positive definite M via Cholesky."""
     L = cholesky(m)
-    n = L.shape[0]
-    b = np.asarray(rhs, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    y = np.zeros_like(b)
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x[:, 0] if squeeze else x
+    return np.linalg.solve(L.T, np.linalg.solve(L, np.asarray(rhs, dtype=float)))
 
 
 def inverse_spd(m) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, via Cholesky solves
     against the identity. The result is re-symmetrized."""
     a = symmetrize(m)
-    inv = solve_spd(a, np.eye(a.shape[0]))
-    return symmetrize(inv)
+    return symmetrize(solve_spd(a, np.eye(a.shape[0])))

@@ -167,6 +167,89 @@ def test_check_disagreeing_evaluators_discard_cell(monkeypatch, demo_q, capsys):
     assert "disagree" in err
 
 
+def test_search_and_check_share_confirmation(monkeypatch, demo_q, capsys):
+    # enumeration is negative but disagrees with dp: neither command may
+    # count the cell as confirmed
+    from infdiv import criteria
+
+    def fake_grid(t, kmax, mmax):
+        g = np.full((kmax + 1, mmax + 1), 2.0)
+        g[3, 5] = -1.0
+        return g
+
+    def fake_enum(t, k, m, cap=tracesum.ENUM_CAP):
+        return TraceSumResult(value=-5.0, term_count=1, min_term=-5.0,
+                              algorithm="enumeration")
+
+    monkeypatch.setattr(tracesum, "dp_grid", fake_grid)
+    monkeypatch.setattr(tracesum, "trace_sum_enum", fake_enum)
+    code, out, err = run(capsys, ["check", "--q", demo_q])
+    assert code == 2
+    assert "disagree" in err and "NotIDWitness" not in out
+
+    monkeypatch.setattr(criteria, "word_positivity_check",
+                        lambda t: criteria.CriterionReport(
+                            "word-positivity", False, None, {"quantity": -1.0}))
+    code, out, _ = run(capsys, ["search", "--trials", "1", "--kmax", "5",
+                                "--mmax", "5"])
+    assert code == 0
+    (cand,) = json.loads(out)["summary"]["candidates"]
+    assert cand["cells"] == [{"k": 3, "m": 5, "dp": -1.0, "enumeration": -5.0,
+                              "confirmed": False}]
+
+
+def test_search_dp_only_cell_is_unconfirmed(monkeypatch, capsys):
+    from infdiv import criteria
+
+    def fake_grid(t, kmax, mmax):
+        g = np.full((kmax + 1, mmax + 1), 2.0)
+        g[10, 10] = -1.0  # k + m beyond ENUM_CAP
+        return g
+
+    monkeypatch.setattr(tracesum, "dp_grid", fake_grid)
+    monkeypatch.setattr(criteria, "word_positivity_check",
+                        lambda t: criteria.CriterionReport(
+                            "word-positivity", False, None, {"quantity": -1.0}))
+    code, out, _ = run(capsys, ["search", "--trials", "1", "--kmax", "12",
+                                "--mmax", "12"])
+    assert code == 0
+    (cand,) = json.loads(out)["summary"]["candidates"]
+    assert cand["cells"] == [{"k": 10, "m": 10, "dp": -1.0, "confirmed": None}]
+
+
+# Scanned trials and their min-cell (k, m) for search --trials 100 --kmax 30
+# --mmax 30 --seed 7, recorded with the cyclic Jacobi eigensolver this package
+# used before LAPACK; floats may move by ulps, decisions must not.
+SEED7_SCANNED = {13: (6, 30), 48: (10, 30), 56: (0, 30), 79: (30, 4)}
+
+
+def test_search_decisions_pinned(capsys):
+    code, out, _ = run(capsys, ["search", "--trials", "100", "--kmax", "30",
+                                "--mmax", "30", "--seed", "7"])
+    assert code == 0
+    trials = json.loads(out)["trials"]
+    scanned = {t["trial"]: (t["min_cell"]["k"], t["min_cell"]["m"])
+               for t in trials if "skipped" not in t}
+    assert scanned == SEED7_SCANNED
+    for t in trials:
+        # at this seed every skipped trial has quantity >= 0 and every
+        # scanned one quantity < 0
+        assert (t["quantity"] < 0) == (t["trial"] in SEED7_SCANNED)
+        assert t.get("negative_cells", 0) == 0
+
+
+@pytest.mark.parametrize("mode", ["--q", "--sigma"])
+def test_check_non_finite_input_is_an_error(tmp_path, capsys, mode):
+    m = np.eye(4) * 0.5
+    m[0, 2] = m[2, 0] = np.nan
+    path = q_file(tmp_path, m, 2) if mode == "--q" else sigma_file(tmp_path, m, 2)
+    code, out, err = run(capsys, ["check", mode, path])
+    assert code == cli.EXIT_INPUT_ERROR
+    # refused as not positive definite before any scan runs
+    assert err.startswith("error:") and "positive definite" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_figure1_csv(tmp_path, capsys):
     out_path = tmp_path / "fig.csv"
     code, _, _ = run(capsys, ["figure1", "--output", str(out_path)])

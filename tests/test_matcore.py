@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infdiv import (
+    InfdivError,
+    NonFiniteResult,
     NotPositiveDefinite,
     SymMatrix,
     cholesky,
@@ -136,6 +138,50 @@ def test_eigen_sym_handles_tiny_couplings():
     m[0, 1] = m[1, 0] = 1e-40
     lam, _ = eigen_sym(m)
     npt.assert_allclose(lam, [3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("diag, cols", [
+    ([2.0, 2.0], [0, 1]),
+    ([0.0, 0.0, 0.0], [0, 1, 2]),
+    ([1.0, 3.0, 3.0], [1, 2, 0]),
+    ([3.0, 3.0, 1.0], [0, 1, 2]),
+    ([5.0, 1.0, 5.0, 1.0], [0, 2, 1, 3]),
+])
+def test_eigen_sym_ties_keep_index_order(diag, cols):
+    lam, v = eigen_sym(np.diag(diag))
+    npt.assert_array_equal(lam, sorted(diag, reverse=True))
+    npt.assert_array_equal(v, np.eye(len(diag))[:, cols])
+
+
+def test_eigen_sym_one_by_one():
+    lam, v = eigen_sym(np.array([[-7.0]]))
+    npt.assert_array_equal(lam, [-7.0])
+    npt.assert_array_equal(v, [[1.0]])
+
+
+def test_eigen_sym_sign_rule_first_index_wins_tie(monkeypatch):
+    # columns whose largest magnitude is shared by +x and -x: the entry in
+    # the first row decides the sign
+    x = 2.0 ** -0.5
+    fake = (np.array([-1.0, 1.0]), np.array([[-x, -x], [x, -x]]))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (fake[0].copy(), fake[1].copy()))
+    lam, v = eigen_sym(np.eye(2))
+    npt.assert_array_equal(lam, [1.0, -1.0])
+    npt.assert_array_equal(v, [[x, x], [x, -x]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_typed(bad):
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = bad
+    assert not is_positive_definite(m)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(m)
+    with pytest.raises(NotPositiveDefinite):
+        inverse_spd(m)
+    with pytest.raises(NonFiniteResult):
+        eigen_sym(m)
+    assert issubclass(NonFiniteResult, InfdivError)
 
 
 def test_cholesky_known_factor():
