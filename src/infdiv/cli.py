@@ -150,18 +150,16 @@ def _resolve_a_grid(flag: str | None, raw: dict) -> tuple[float, ...]:
 
 def find_negative_cells(grid: np.ndarray) -> list[tuple[int, int, float]]:
     """Cells below -NEG_CELL_REL times the largest magnitude on their
-    anti-diagonal, ordered by (k+m, k)."""
-    kmax, mmax = grid.shape[0] - 1, grid.shape[1] - 1
-    out = []
-    for s in range(kmax + mmax + 1):
-        ks = range(max(0, s - mmax), min(kmax, s) + 1)
-        scale = max(abs(float(grid[k, s - k])) for k in ks)
-        thresh = -NEG_CELL_REL * scale
-        for k in ks:
-            v = float(grid[k, s - k])
-            if v < thresh:
-                out.append((k, s - k, v))
-    return out
+    anti-diagonal, ordered by (k+m, k), as plain Python ints and floats."""
+    grid = np.asarray(grid, dtype=float)
+    k, m = np.indices(grid.shape)
+    # row s of skew is anti-diagonal s, skew[s, k] = grid[k, s - k]; its zero
+    # padding can neither raise a row's maximum nor fall below a threshold
+    skew = np.zeros((grid.shape[0] + grid.shape[1] - 1, grid.shape[0]))
+    skew[k + m, k] = grid
+    scale = np.abs(skew).max(axis=1, keepdims=True)
+    ss, ks = np.nonzero(skew < -NEG_CELL_REL * scale)
+    return list(zip(ks.tolist(), (ss - ks).tolist(), skew[ss, ks].tolist()))
 
 
 def _confirm_negative(t: BlockMatrix, k: int, m: int, dp_value: float):

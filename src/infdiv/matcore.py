@@ -25,14 +25,28 @@ import numpy as np
 
 from .errors import NonFiniteResult, NotPositiveDefinite
 
+# no sum of two entries at most this large in magnitude overflows
+_HALF_MAX = sys.float_info.max / 2.0
+
 
 def symmetrize(m) -> np.ndarray:
     """Return (M + M^t)/2 as a float array. Downstream code assumes exact
-    symmetry, so every external matrix passes through here once."""
+    symmetry, so every external matrix passes through here once.
+
+    Where the sum of two finite entries overflows, the entry is
+    M/2 + M^t/2 instead; halving first everywhere would round odd
+    subnormals, so every other entry keeps the bits of (M + M^t)/2.
+    """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.T) / 2.0
+    if np.abs(a).max(initial=0.0) <= _HALF_MAX:  # False on a NaN
+        return (a + a.T) / 2.0
+    with np.errstate(over="ignore"):
+        s = (a + a.T) / 2.0
+    over = np.isinf(s) & np.isfinite(a) & np.isfinite(a.T)
+    s[over] = (a / 2.0 + a.T / 2.0)[over]
+    return s
 
 
 @dataclass(frozen=True)

@@ -171,13 +171,18 @@ def trace_sum_dp(t: BlockMatrix, k: int, m: int, cap: int = DP_CAP) -> TraceSumR
         raise CapExceeded(f"k + m = {k + m} exceeds dp cap {cap}")
     if k == m == 0:
         return TraceSumResult(float(t.dim), 0, None, "dp")
-    table = coeff_table(t, k + m)
-    value = float(np.trace(table.coeff[k]))
+    value = float(dp_grid(t, k, m)[k, m])
     return TraceSumResult(value=value, term_count=0, min_term=None, algorithm="dp")
 
 
 def dp_grid(t: BlockMatrix, kmax: int, mmax: int) -> np.ndarray:
     """All sums for 0 <= k <= kmax, 0 <= m <= mmax in one recurrence pass.
+
+    The s1^c coefficient of (T S)^deg feeds only cells with k >= c and
+    m >= deg - c, so each degree keeps just the window
+    max(0, deg - mmax) <= c <= min(kmax, deg): (kmax+1)(mmax+1) - 1 n x n
+    products in all, against (kmax+mmax)(kmax+mmax+1)/2 for the full
+    coeff_table, and every kept coefficient has coeff_table's exact bits.
 
     The (0, 0) cell is the trivial empty word, trace(I) = n; it is included
     so grid consumers get a full rectangle.
@@ -186,14 +191,20 @@ def dp_grid(t: BlockMatrix, kmax: int, mmax: int) -> np.ndarray:
         raise ValueError("kmax and mmax must be nonnegative")
     if kmax + mmax > DP_CAP:
         raise CapExceeded(f"kmax + mmax = {kmax + mmax} exceeds dp cap {DP_CAP}")
-    out = np.zeros((kmax + 1, mmax + 1))
+    # sums[deg, c] is the trace of the s1^c coefficient of (T S)^deg
+    sums = np.zeros((kmax + mmax + 1, kmax + 1))
     coeff = np.eye(t.dim)[None, :, :]
+    lo = 0  # coeff[i] is the s1^(lo + i) coefficient at the current degree
     for deg in range(0, kmax + mmax + 1):
-        for k in range(max(0, deg - mmax), min(kmax, deg) + 1):
-            out[k, deg - k] = np.trace(coeff[k])
+        sums[deg, lo:lo + coeff.shape[0]] = coeff.trace(axis1=1, axis2=2)
         if deg < kmax + mmax:
-            coeff = _advance(coeff, t.full, t.n1)
-    return out
+            # new[i] is the s1^(lo + i) coefficient; a window that moves up
+            # drops new[0], whose block-1 columns needed coeff[lo - 1]
+            new_lo = max(0, deg + 1 - mmax)
+            coeff = _advance(coeff, t.full, t.n1)[new_lo - lo:min(kmax, deg + 1) - lo + 1]
+            lo = new_lo
+    k, m = np.indices((kmax + 1, mmax + 1))
+    return sums[k + m, k]
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,57 @@ def test_check_negative_cell_verdict(monkeypatch, demo_q, capsys):
     assert "k=3 m=5" in out
 
 
+def _negative_cells_loop(grid):
+    """Reference for find_negative_cells: one Python loop per anti-diagonal."""
+    kmax, mmax = grid.shape[0] - 1, grid.shape[1] - 1
+    out = []
+    for s in range(kmax + mmax + 1):
+        ks = range(max(0, s - mmax), min(kmax, s) + 1)
+        scale = max(abs(float(grid[k, s - k])) for k in ks)
+        thresh = -cli.NEG_CELL_REL * scale
+        for k in ks:
+            v = float(grid[k, s - k])
+            if v < thresh:
+                out.append((k, s - k, v))
+    return out
+
+
+def test_find_negative_cells_matches_loop():
+    gen = np.random.default_rng(4242)
+    shapes = [(1, 9), (9, 1), (1, 1)]
+    shapes += [tuple(int(x) for x in gen.integers(1, 14, 2)) for _ in range(400)]
+    for i, shape in enumerate(shapes):
+        grid = gen.standard_normal(shape) * 10.0 ** gen.integers(-6, 7, shape)
+        if i % 2:
+            # mostly positive, with negatives around the relative threshold
+            grid = np.abs(grid)
+            flip = gen.random(shape) < 0.2
+            grid[flip] *= -gen.choice([1.0, 1e-8, 1e-9, 1e-10], size=int(flip.sum()))
+        if i % 3 == 0:
+            s = np.add.outer(np.arange(shape[0]), np.arange(shape[1]))
+            grid[s % 3 == 1] = 0.0  # all-zero anti-diagonals
+        got = cli.find_negative_cells(grid)
+        assert got == _negative_cells_loop(grid)
+        assert got == sorted(got, key=lambda c: (c[0] + c[1], c[0]))
+        assert all(type(k) is int and type(m) is int and type(v) is float
+                   for k, m, v in got)
+        json.dumps(got)
+
+
+def test_find_negative_cells_threshold_edges():
+    scale = 3.0
+    thresh = -cli.NEG_CELL_REL * scale
+    grid = np.ones((3, 6))
+    grid[0, 2], grid[1, 1] = scale, thresh  # exactly at the threshold: kept out
+    grid[2, 0] = np.nextafter(thresh, -np.inf)  # one ulp past it: a hit
+    grid[0, 3] = grid[1, 2] = grid[2, 1] = 0.0  # an all-zero anti-diagonal
+    grid[0, 5] = -scale  # row-major order would list it first
+    got = cli.find_negative_cells(grid)
+    assert got == [(2, 0, float(grid[2, 0])), (0, 5, -scale)]
+    assert got == _negative_cells_loop(grid)
+    assert json.loads(json.dumps(got)) == [list(c) for c in got]
+
+
 def test_check_disagreeing_evaluators_discard_cell(monkeypatch, demo_q, capsys):
     def fake_grid(t, kmax, mmax):
         g = np.full((kmax + 1, mmax + 1), 2.0)

@@ -26,6 +26,33 @@ def test_symmetrize_averages():
     npt.assert_allclose(symmetrize(m), [[1.0, 3.0], [3.0, 3.0]])
 
 
+def test_symmetrize_near_overflow():
+    # (M + M^t)/2 overflows here; the halves are added instead
+    npt.assert_array_equal(symmetrize([[1.0, 1e308], [1e308, 1.0]]),
+                           [[1.0, 1e308], [1e308, 1.0]])
+    npt.assert_array_equal(symmetrize([[0.0, 1.5e308], [1e308, 0.0]]),
+                           [[0.0, 1.25e308], [1.25e308, 0.0]])
+    # a non-finite entry stays non-finite
+    s = symmetrize([[np.inf, 1e308], [1e308, 1.0]])
+    assert s[0, 0] == np.inf and s[0, 1] == 1e308 and s[1, 1] == 1.0
+    lam, v = eigen_sym(np.diag([1e308, 1.0]))
+    npt.assert_array_equal(lam, [1e308, 1.0])
+    npt.assert_array_equal(v, np.eye(2))
+    assert is_positive_definite(np.diag([1e308, 1e300]))
+    # finite, but the pivot rule refuses a condition number of 1e308
+    assert not is_positive_definite(np.diag([1e308, 1.0]))
+
+
+def test_symmetrize_keeps_the_bits_of_the_average():
+    gen = np.random.default_rng(31)
+    tiny = 5e-324  # the smallest subnormal: halving it first would round
+    for _ in range(300):
+        n = int(gen.integers(1, 9))
+        m = gen.standard_normal((n, n)) * 10.0 ** gen.integers(-300, 300, (n, n))
+        m[gen.random((n, n)) < 0.3] = tiny * gen.integers(-9, 10)
+        npt.assert_array_equal(symmetrize(m), (m + m.T) / 2.0)
+
+
 def test_sym_matrix_json_round_trip():
     m = SymMatrix.from_array([[2.0, 0.5], [0.5, 1.0]])
     again = SymMatrix.from_json(m.to_json())

@@ -19,6 +19,7 @@ from infdiv import (
     trace_sum_dp,
     trace_sum_enum,
 )
+from infdiv.sampling import random_tilt_like
 
 # the 4x4 demonstration matrix, scaled to unit spectral radius; its top
 # eigenvalue and a handful of sums are frozen from an independent evaluation
@@ -141,6 +142,25 @@ def test_dp_grid_matches_pointwise(demo):
         for m in range(7):
             npt.assert_allclose(g[k, m], trace_sum_dp(demo, k, m).value,
                                 rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n1, n2, kmax, mmax", [
+    (2, 2, 7, 7), (2, 2, 0, 6), (2, 2, 6, 0), (3, 3, 4, 9),
+    (4, 4, 6, 3), (1, 3, 8, 2), (3, 1, 0, 7), (3, 1, 5, 5),
+])
+def test_dp_grid_bit_identical_to_coeff_table(n1, n2, kmax, mmax):
+    # the windowed recurrence must keep exactly the bits of the full table
+    gen = np.random.default_rng(100 * n1 + 10 * n2 + kmax)
+    t = BlockMatrix.from_array(random_tilt_like(gen, n1 + n2), n1)
+    g = dp_grid(t, kmax, mmax)
+    assert g.shape == (kmax + 1, mmax + 1)
+    assert g[0, 0] == n1 + n2
+    for k in range(kmax + 1):
+        for m in range(mmax + 1):
+            if k + m:
+                want = np.trace(coeff_table(t, k + m).coeff[k])
+                assert np.array_equal(g[k, m], want), (k, m)
+                assert trace_sum_dp(t, k, m).value == want
 
 
 def test_closed_sums_match_direct(tilt_blocks):
