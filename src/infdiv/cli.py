@@ -75,6 +75,8 @@ class ScanConfig:
             raise InputError("a_grid must be nonempty, positive, ascending")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -290,7 +292,7 @@ def _check_q(args) -> tuple[Verdict, dict]:
     payload = {"mode": "q", "n1": t.n1, "n2": t.n2,
                "kmax": args.kmax, "mmax": args.mmax, "notes": notes,
                "scan": []}
-    lam_top = float(matcore.eigen_sym(t.full)[0][0])
+    lam_top = float(matcore.top_eigenvalue(t.full))
     if lam_top > 1.0 + 1e-12:
         notes.append(f"spectral radius {lam_top:.6g} exceeds 1; "
                      "sums are still well defined")
@@ -521,8 +523,11 @@ def cmd_laplace(args) -> int:
         raise InputError(str(exc))
     seed = 0 if args.seed is None else args.seed
     closed = laplace.laplace_closed(mdl, p)
-    series = laplace.laplace_series(mdl, p, nmax=args.nmax)
-    est, se = laplace.monte_carlo(mdl, p, samples=args.samples, seed=seed)
+    try:  # ValueError: a negative nmax or seed, or too few samples
+        series = laplace.laplace_series(mdl, p, nmax=args.nmax)
+        est, se = laplace.monte_carlo(mdl, p, samples=args.samples, seed=seed)
+    except ValueError as exc:
+        raise InputError(str(exc))
     payload = {
         "s1": p.s1, "s2": p.s2, "a": mdl.a,
         "closed": closed,

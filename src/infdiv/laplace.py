@@ -29,6 +29,11 @@ from .model import BlockMatrix, CovarianceModel, tilt_matrix
 
 NMAX_CAP = 10_000
 MC_SHARD = 250_000
+# a shard is drawn and transformed this many rows at a time, so the working
+# arrays stay in cache; the normals and products are those of one big draw
+_MC_ROWS = 4096
+# series powers are computed this many at a time into one preallocated buffer
+_SERIES_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,24 @@ def auto_nmax(rho: float, tol: float = 1e-10) -> int:
     """Smallest n with rho^(n+1)/((n+1)(1-rho)) < tol, capped at NMAX_CAP.
 
     rho is the spectral radius bound of T S; the expression bounds the
-    dropped series tail.
+    dropped series tail. For 0 < rho < 1 it decreases in n, so the answer
+    is found by bisection. n = 1 is tried first: for tol > 0 that settles
+    every rho >= 1 (and a NaN rho or tol) before a large power could
+    overflow.
     """
-    if rho <= 0.0:
+    def too_big(n):
+        return rho ** (n + 1) / ((n + 1) * (1.0 - rho)) >= tol
+
+    if rho <= 0.0 or not too_big(1):
         return 1
-    n = 1
-    while rho ** (n + 1) / ((n + 1) * (1.0 - rho)) >= tol:
-        n += 1
-        if n >= NMAX_CAP:
-            return NMAX_CAP
-    return n
+    lo, hi = 2, NMAX_CAP  # the answer lies in [lo, hi]; too_big(hi) is never asked
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if too_big(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -90,13 +103,22 @@ def laplace_series(model: CovarianceModel, p: DualPoint, nmax: int | None = None
     """Truncated log-series evaluation of the transform.
 
     nmax is auto-chosen from the spectral radius when not given; an explicit
-    nmax beyond NMAX_CAP raises CapExceeded. The dropped tail is bounded by
-    rho^(nmax+1)/((nmax+1)(1-rho)), reported as tail_bound.
+    nmax beyond NMAX_CAP raises CapExceeded and a negative one ValueError.
+    The dropped tail is bounded by rho^(nmax+1)/((nmax+1)(1-rho)), reported
+    as tail_bound.
+
+    The powers (T S)^i are formed one product at a time, as
+    (T S)^(i-1) @ (T S), into a buffer of _SERIES_CHUNK matrices whose
+    traces are read in one batched call; the terms trace/i are summed once
+    with math.fsum, so the result does not depend on the chunk size. Every
+    term has the bits of float(trace((T S)^(i-1) @ (T S))) / i.
     """
     if nmax is not None and nmax > NMAX_CAP:
         raise CapExceeded(f"nmax {nmax} exceeds cap {NMAX_CAP}")
+    if nmax is not None and nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     t = tilt_matrix(model)
-    lam_top = matcore.eigen_sym(t.full)[0][0]
+    lam_top = matcore.top_eigenvalue(t.full)
     rho = lam_top * max(p.s1, p.s2)
     if nmax is None:
         nmax = auto_nmax(rho)
@@ -106,11 +128,17 @@ def laplace_series(model: CovarianceModel, p: DualPoint, nmax: int | None = None
     logdet_i_minus_t = -2.0 * math.fsum(math.log(x) for x in np.diag(L))
     svec = _svec(model.n1, model.n2, p)
     ts = t.full * svec[None, :]
-    terms = []
-    power = np.eye(n)
-    for i in range(1, nmax + 1):
-        power = power @ ts
-        terms.append(float(np.trace(power)) / i)
+    terms = np.empty(nmax)  # terms[i - 1] = trace((T S)^i) / i
+    buf = np.empty((_SERIES_CHUNK + 1, n, n))
+    buf[0] = np.eye(n)
+    mats = list(buf)  # views of buf; a list lookup is cheaper than buf[j]
+    for start in range(1, nmax + 1, _SERIES_CHUNK):
+        c = min(_SERIES_CHUNK, nmax + 1 - start)
+        for j in range(c):
+            np.dot(mats[j], ts, out=mats[j + 1])
+        terms[start - 1:start - 1 + c] = (
+            buf[1:c + 1].trace(axis1=1, axis2=2) / np.arange(start, start + c))
+        buf[0] = buf[c]
     total = logdet_i_minus_t + math.fsum(terms)
     tail = rho ** (nmax + 1) / ((nmax + 1) * (1.0 - rho)) if rho > 0 else 0.0
     return SeriesResult(value=math.exp(0.5 * total), nmax=nmax, rho=rho, tail_bound=tail)
@@ -127,15 +155,35 @@ def _merge_moments(sa, sb):
     return (n, mean, m2)
 
 
+def _sum_squares(cols: np.ndarray) -> np.ndarray:
+    """Row sums of squares of a (rows, k >= 1) array, added column by column
+    in index order, without forming the squared array."""
+    q = cols[:, 0] * cols[:, 0]
+    for j in range(1, cols.shape[1]):
+        q += cols[:, j] * cols[:, j]
+    return q
+
+
 def monte_carlo(model: CovarianceModel, p: DualPoint, samples: int, seed: int):
     """Estimate the transform by simulation; returns (estimate, stderr).
 
     Sampling is sharded; each shard draws from its own generator spawned off
     the seed, and shard moments are merged pairwise, so the result is
     reproducible for a fixed (seed, samples) pair regardless of merge order.
+    Fewer than 1000 samples or a negative seed raise ValueError.
+
+    Each shard's normals are drawn _MC_ROWS rows at a time into one buffer,
+    which yields the same stream as a single draw. The block quadratic forms
+    |X_1|^2 and |X_2|^2 are accumulated column by column, x_0^2 + x_1^2 +
+    ..., in index order. For blocks of at most 7 coordinates this is the
+    order numpy's row sum uses; for blocks of 8 or more numpy sums pairwise,
+    so against that sum a row can differ in the last bits (the sum itself
+    is as accurate).
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     L = matcore.cholesky(model.sigma.entries)
     n1 = model.n1
     c1 = model.a * (1.0 - p.s1)
@@ -145,13 +193,16 @@ def monte_carlo(model: CovarianceModel, p: DualPoint, samples: int, seed: int):
         counts.append(samples % MC_SHARD)
     children = np.random.SeedSequence(seed).spawn(len(counts))
     stats = []
+    z = np.empty((min(_MC_ROWS, max(counts)), model.sigma.dim))
     for child, cnt in zip(children, counts):
         gen = np.random.default_rng(child)
-        z = gen.standard_normal((cnt, model.sigma.dim))
-        x = z @ L.T
-        e = np.exp(
-            -0.5 * (c1 * (x[:, :n1] ** 2).sum(axis=1) + c2 * (x[:, n1:] ** 2).sum(axis=1))
-        )
+        e = np.empty(cnt)
+        for lo in range(0, cnt, _MC_ROWS):
+            # z[:cnt - lo] is all of z, or the shard's last, shorter block
+            x = gen.standard_normal(out=z[:cnt - lo]) @ L.T
+            e[lo:lo + len(x)] = -0.5 * (c1 * _sum_squares(x[:, :n1])
+                                        + c2 * _sum_squares(x[:, n1:]))
+        np.exp(e, out=e)
         mean = float(e.mean())
         stats.append((cnt, mean, float(((e - mean) ** 2).sum())))
     while len(stats) > 1:
@@ -183,7 +234,7 @@ def log_transform_coefficients(
     """
     if max(kmax, mmax) >= npts:
         raise ValueError("npts must exceed the requested degrees")
-    lam_top = matcore.eigen_sym(t.full)[0][0]
+    lam_top = matcore.top_eigenvalue(t.full)
     if radius is None:
         radius = min(0.85, 0.6 / lam_top)
     n1 = t.n1

@@ -153,20 +153,36 @@ def eigen_sym(m):
     return lam, v
 
 
+def top_eigenvalue(m):
+    """Largest eigenvalue of a symmetric matrix, bit-identical to
+    eigen_sym(m)[0][0] without the eigenvector ordering and sign work.
+    A non-finite entry raises NonFiniteResult."""
+    a = symmetrize(m)
+    if not np.isfinite(a).all():
+        raise NonFiniteResult("top_eigenvalue: the matrix has a non-finite entry")
+    return np.linalg.eigh(a)[0][-1]
+
+
 def _factor(a: np.ndarray) -> np.ndarray | None:
     """Cholesky factor L of the symmetric array a, or None when a is not
     positive definite: a non-finite entry, trace <= 0, a failed LAPACK
-    factorization, or a pivot L_jj^2 at or below 1e-12 * trace / dim."""
+    factorization, or a pivot L_jj^2 at or below 1e-12 * trace / dim.
+
+    Where the trace of finite entries overflows, the threshold is taken
+    as 1e-12 * sum(diag / dim); a finite trace keeps its bits."""
     if not np.isfinite(a).all():
         return None
-    trace = np.trace(a)
+    n = a.shape[0]
+    with np.errstate(over="ignore"):
+        trace = np.trace(a)
     if trace <= 0.0:
         return None
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    if np.diag(L).min() ** 2 <= 1e-12 * trace / a.shape[0]:
+    floor = 1e-12 * trace / n if np.isfinite(trace) else 1e-12 * (np.diag(a) / n).sum()
+    if np.diag(L).min() ** 2 <= floor:
         return None
     return L
 

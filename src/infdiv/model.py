@@ -130,10 +130,10 @@ def invert_blocks(model: CovarianceModel) -> BlockMatrix:
 
 def scale_to_unit_spectral_radius(m: BlockMatrix) -> BlockMatrix:
     """Divide by the largest eigenvalue so the result has lambda_max == 1."""
-    lam, _ = matcore.eigen_sym(m.full)
-    if lam[0] <= 0.0:
-        raise DegenerateInput(f"largest eigenvalue is {lam[0]}, cannot scale")
-    return BlockMatrix.from_array(m.full / lam[0], m.n1)
+    top = matcore.top_eigenvalue(m.full)
+    if top <= 0.0:
+        raise DegenerateInput(f"largest eigenvalue is {top}, cannot scale")
+    return BlockMatrix.from_array(m.full / top, m.n1)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from . import matcore
 def random_tilt_like(gen: np.random.Generator, n: int = 4, jitter: float = 1e-3) -> np.ndarray:
     g = gen.standard_normal((n, n))
     m = matcore.symmetrize(g.T @ g)
-    m = m / matcore.eigen_sym(m)[0][0] + jitter * np.eye(n)
-    return m / matcore.eigen_sym(m)[0][0]
+    m = m / matcore.top_eigenvalue(m) + jitter * np.eye(n)
+    return m / matcore.top_eigenvalue(m)
 
 
 def random_covariance(gen: np.random.Generator, n: int, jitter: float = 1e-2) -> np.ndarray:

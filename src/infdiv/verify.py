@@ -117,7 +117,7 @@ def suite_model() -> list[dict]:
 
     scaled = model.scale_to_unit_spectral_radius(t)
     twice = model.scale_to_unit_spectral_radius(scaled)
-    lam_top = matcore.eigen_sym(scaled.full)[0][0]
+    lam_top = matcore.top_eigenvalue(scaled.full)
     checks.append(_check("unit spectral radius scaling exact and idempotent",
                          abs(lam_top - 1.0) <= 1e-12 and np.abs(twice.full - scaled.full).max() <= 1e-12))
     return checks

@@ -434,3 +434,23 @@ def test_laplace_rejects_bad_point(tmp_path, capsys):
     path = sigma_file(tmp_path, np.eye(2), 1)
     code, _, err = run(capsys, ["laplace", "--sigma", path, "--s1", "1.0", "--s2", "0.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nmax", "-1"], "nmax must be >= 0"),
+    (["--nmax", "-3"], "nmax must be >= 0"),
+    (["--samples", "10"], "at least 1000 samples"),
+    (["--seed", "-1"], "seed must be >= 0"),
+])
+def test_laplace_rejects_bad_flags(tmp_path, capsys, flags, message):
+    path = sigma_file(tmp_path, [[2.0, 1.0], [1.0, 2.0]], 1)
+    code, out, err = run(capsys, ["laplace", "--sigma", path, "--s1", "0.3",
+                                  "--s2", "0.6", *flags])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_search_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, ["search", "--seed", "-1", "--trials", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: seed must be >= 0\n"

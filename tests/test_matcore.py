@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +19,7 @@ from infdiv import (
     is_positive_definite,
     solve_spd,
     symmetrize,
+    top_eigenvalue,
 )
 
 
@@ -208,7 +210,38 @@ def test_non_finite_input_is_typed(bad):
         inverse_spd(m)
     with pytest.raises(NonFiniteResult):
         eigen_sym(m)
+    with pytest.raises(NonFiniteResult):
+        top_eigenvalue(m)
     assert issubclass(NonFiniteResult, InfdivError)
+
+
+def test_top_eigenvalue_is_eigen_sym_first_bitwise(rng):
+    def same(m):
+        got, want = top_eigenvalue(m), eigen_sym(m)[0][0]
+        return type(got) is type(want) and got.tobytes() == want.tobytes()
+
+    for _ in range(300):
+        n = int(rng.integers(1, 11))
+        g = rng.standard_normal((n, n))
+        assert same(g + g.T)
+        assert same(np.diag(rng.standard_normal(n)))
+    for diag in ([2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 3.0, 3.0], [3.0, 3.0, 1.0],
+                 [5.0, 1.0, 5.0, 1.0], [-1.0, -1.0]):
+        assert same(np.diag(diag))
+    assert same(np.ones((4, 4)))  # eigenvalue 0 three times, 4 once
+
+
+def test_trace_overflow_keeps_pivot_rule():
+    # the diagonal sums past the float maximum; the factor is finite and
+    # well conditioned, so the matrix is positive definite
+    m = np.array([[1e308, 5e307], [5e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_positive_definite(m)
+        L = cholesky(m)
+    npt.assert_allclose(L @ L.T, m, rtol=1e-15)
+    assert not is_positive_definite(np.diag([1e308, 1.0]))
+    assert not is_positive_definite(np.diag([-1e308, -1e308]))
 
 
 def test_cholesky_known_factor():
