@@ -15,15 +15,17 @@ for sign structure of the result. Three checks are implemented:
 
 The scalar inequalities live on the canonical rotation: both diagonal blocks
 are diagonalized with descending diagonals. When a diagonal block is (close
-to) a multiple of the identity the rotation is not unique; the free angle is
-then searched so the inequality is given its best chance, which matches the
-convention that ties are always resolvable.
+to) a multiple of the identity its rotation angle is free; the quantity's
+maximum over that angle has a closed form that is never negative, so every
+tied input satisfies both inequalities. Every tolerance is relative to the
+scale of the matrix it is applied to: a decision on A is the one on 2^k A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +37,14 @@ from .errors import (
 )
 from .model import BlockMatrix, CovarianceModel, invert_blocks, tilt_matrix
 
-# relative tie band on rotated block diagonals
+# relative tie band on rotated block diagonals and on the spectrum of B B^t
 TIE_REL = 1e-10
-# roundoff allowance when classifying the scalar inequality at the boundary
+# roundoff allowance when classifying the scalar inequality at the boundary,
+# relative to max|A|^2 (the quantity is quadratic in the entries)
 QUANTITY_TOL = 1e-12
-# entrywise allowance for constructed witnesses
+# entrywise allowance for constructed witnesses, relative to max|A|
 WITNESS_TOL = 1e-10
+# allowance on the entries of Sigma^(-1), relative to max|Sigma^(-1)|
 GB_TOL = 1e-12
 SHANBHAG_M_CAP = 8
 
@@ -122,71 +126,86 @@ def block_diagonalize(a: BlockMatrix):
     return w, w.conjugate(a)
 
 
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+class CanonicalForm(NamedTuple):
+    """canonical_rotation's result: signature matrix, rotated matrix w^t A w,
+    decisive quantity, and the eigenpair of B B^t (B = rotated.b12)."""
+
+    w: SignatureMatrix
+    rotated: BlockMatrix
+    quantity: float
+    pair: matcore.EigenPair2
 
 
-def _quantity(rot: BlockMatrix, target: str) -> float:
-    """The decisive scalar on a canonically rotated 2+2 matrix.
-
-    target "word": v11*b13*(v11*b13 + v21*b23) with v the top eigenvector of
-    B B^t, B the off-diagonal block. target "offdiag": the companion
-    v21*b24*(v21*b24 + v11*b14). Both are invariant under v -> -v.
-    """
-    b = rot.b12
-    pair = matcore.eigen2(b @ b.T)
-    v1 = pair.v1
-    if target == "word":
-        return float(v1[0] * b[0, 0] * (v1[0] * b[0, 0] + v1[1] * b[1, 0]))
-    if target == "offdiag":
-        return float(v1[1] * b[1, 1] * (v1[1] * b[1, 1] + v1[0] * b[0, 1]))
-    raise ValueError(f"unknown target {target!r}")
+def quantity_holds(qv: float, a: BlockMatrix) -> bool:
+    """qv >= 0 up to the roundoff allowance QUANTITY_TOL * max|A|^2."""
+    s = float(np.abs(a.full).max())
+    return qv / s / s >= -QUANTITY_TOL
 
 
-def canonical_rotation(a: BlockMatrix, target: str):
-    """Canonical form for the scalar inequality: returns (w, rotated, value).
+def canonical_rotation(a: BlockMatrix, target: str) -> CanonicalForm:
+    """Canonical form for the scalar inequality of `target`: "word" (decisive
+    index j = 0) or "offdiag" (j = 1).
 
-    Away from ties this is block_diagonalize plus the quantity. Within the
-    tie band (either rotated diagonal block has equal entries to TIE_REL
-    relative) the rotation angle of the tied block is a free parameter; it is
-    searched over a fine grid plus the explicit zeroing angles so the
-    inequality is satisfied whenever possible.
+    The quantity is v_j b_jj (v^t B e_j), with B the rotated off-diagonal
+    block and v the top eigenvector of B B^t: v11*b13*(v11*b13 + v21*b23)
+    for "word" and v21*b24*(v21*b24 + v11*b14) for "offdiag", invariant
+    under v -> -v.
+
+    Away from ties this is block_diagonalize plus the quantity. When a
+    rotated diagonal block has equal entries to TIE_REL relative (block 1
+    wins if both do), its rotation R is free and the quantity at R is
+    (r.x)(r.y) with r = R e_j. Block 1 tied: B -> R^t B and v -> R^t v leave
+    c = v^t B e_j invariant, so x = c v and y = B e_j. Block 2 tied: B -> B R
+    leaves v invariant, so x = v_j B[j, :] and y = B^t v. The maximum over R
+    is (|x||y| + x.y)/2 at r along x/|x| + y/|y| (r orthogonal to x when
+    that is 0; R = I when x or y is 0); computed as |x||y| |x/|x| + y/|y||^2
+    / 4 it is never negative in floats, so every tied input satisfies both
+    inequalities. The form at that R is returned with that maximum.
+
+    When B B^t is within TIE_REL of a multiple of I, v is free as well and
+    v -> R^t v fails. R then turns column j (block 1 tied) or row j (block 2
+    tied) of B onto axis j, which makes the quantity v_j^2 |B e_j|^2
+    (|B[j, :]|^2) >= 0 whatever eigenvector the rotated B B^t gets.
     """
     if a.n1 != 2 or a.n2 != 2:
         raise ShapeError(f"need 2+2 blocks, got {a.n1}+{a.n2}")
+    if target not in ("word", "offdiag"):
+        raise ValueError(f"unknown target {target!r}")
+    j = int(target == "offdiag")
     w, rot = block_diagonalize(a)
     d1 = np.diag(rot.b11)
     d2 = np.diag(rot.b22)
     tie1 = abs(d1[0] - d1[1]) <= TIE_REL * max(abs(d1[0]), abs(d1[1]))
     tie2 = abs(d2[0] - d2[1]) <= TIE_REL * max(abs(d2[0]), abs(d2[1]))
-    if not (tie1 or tie2):
-        return w, rot, _quantity(rot, target)
     b = rot.b12
-    cands = list(np.linspace(0.0, 2 * math.pi, 720, endpoint=False))
-    # angles that zero the coordinate the quantity squares on
-    if tie1:
-        if target == "word":
-            cands.append(math.atan2(b[1, 0], b[0, 0]))
-        else:
-            cands.append(math.atan2(-b[0, 1], b[1, 1]))
+    pair = matcore.eigen2(b @ b.T)
+    v = pair.v1
+    if not (tie1 or tie2):
+        qv = float(v[j] * b[j, j] * (v[j] * b[j, j] + v[1 - j] * b[1 - j, j]))
+        return CanonicalForm(w, rot, qv, pair)
+    free_v = pair.lambda1 - pair.lambda2 <= TIE_REL * pair.lambda1
+    if free_v:
+        x = y = b[:, j] if tie1 else b[j, :]
+    elif tie1:
+        x, y = (v @ b[:, j]) * v, b[:, j]
     else:
-        if target == "word":
-            cands.append(math.atan2(-b[1, 0], b[1, 1]))
-        else:
-            cands.append(math.atan2(b[0, 1], b[0, 0]))
-    best = None
-    for theta in cands:
-        r = _rot2(theta)
-        if tie1:
-            cand = SignatureMatrix(u1=w.u1 @ r, u2=w.u2)
-        else:
-            cand = SignatureMatrix(u1=w.u1, u2=w.u2 @ r)
-        rc = cand.conjugate(a)
-        qv = _quantity(rc, target)
-        if best is None or qv > best[2]:
-            best = (cand, rc, qv)
-    return best
+        x, y = v[j] * b[j, :], b.T @ v
+    nx, ny = math.hypot(*x), math.hypot(*y)
+    if nx == 0.0 or ny == 0.0:
+        return CanonicalForm(w, rot, 0.0, pair)
+    s = x / nx + y / ny
+    ns = math.hypot(*s)
+    r = s / ns if ns > 0.0 else np.array([-x[1], x[0]]) / nx
+    qv = nx * ny * ns * ns / 4.0
+    # the rotation whose column j is r
+    rmat = np.array([[r[0], -r[1]], [r[1], r[0]]] if j == 0 else [[r[1], r[0]], [-r[0], r[1]]])
+    w = SignatureMatrix(*((w.u1 @ rmat, w.u2) if tie1 else (w.u1, w.u2 @ rmat)))
+    rot = w.conjugate(a)
+    b = rot.b12
+    pair = matcore.eigen2(b @ b.T)
+    if free_v:
+        qv *= float(pair.v1[j]) ** 2
+    return CanonicalForm(w, rot, qv, pair)
 
 
 def _polar_orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -199,7 +218,8 @@ def _polar_orthonormalize(m: np.ndarray) -> np.ndarray:
 
 def _construct_core(rot: BlockMatrix):
     """Witness construction on a canonically rotated matrix whose word
-    inequality holds: returns (u1, u2) with u^t rot u entrywise >= -WITNESS_TOL.
+    inequality holds: returns (u1, u2) with u^t rot u entrywise
+    >= -WITNESS_TOL * max|rot|.
 
     Fast path: a pure sign flip fixes the off-diagonal block. Otherwise the
     signs are first flipped to the reduced pattern [[a13, a14], [a23, -a24]]
@@ -208,10 +228,11 @@ def _construct_core(rot: BlockMatrix):
     induced second factor applies.
     """
     b = rot.b12
+    tol = WITNESS_TOL * np.abs(rot.full).max()
     for s1 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         for s2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
             d1, d2 = np.diag(s1), np.diag(s2)
-            if (d1 @ b @ d2 >= -WITNESS_TOL).all():
+            if (d1 @ b @ d2 >= -tol).all():
                 return d1, d2
     # no pure sign flip works: all entries nonzero with an odd sign pattern
     c1 = math.copysign(1.0, b[0, 0])
@@ -241,23 +262,17 @@ def _construct_core(rot: BlockMatrix):
     return d1 @ u1, d2 @ u2
 
 
-def _word_report(a: BlockMatrix, criterion: str) -> CriterionReport:
-    w, rot, qv = canonical_rotation(a, "word")
-    b = rot.b12
-    pair = matcore.eigen2(b @ b.T)
-    holds = qv >= -QUANTITY_TOL
-    return CriterionReport(
-        criterion=criterion,
-        holds=holds,
-        witness=None,
-        detail={
-            "quantity": float(qv),
-            "v11": float(pair.v1[0]),
-            "v21": float(pair.v1[1]),
-            "b13": float(b[0, 0]),
-            "b23": float(b[1, 0]),
-        },
-    )
+def _signature_report(criterion: str, a: BlockMatrix, target: str,
+                      witness_of=None) -> CriterionReport:
+    """Decide the scalar inequality of `target` on one canonical rotation of
+    a; when it holds and witness_of is given, witness_of(form) is attached."""
+    form = canonical_rotation(a, target)
+    holds = quantity_holds(form.quantity, a)
+    v, b, j = form.pair.v1, form.rotated.b12, int(target == "offdiag")
+    detail = {"quantity": float(form.quantity), "v11": float(v[0]), "v21": float(v[1]),
+              f"b1{3 + j}": float(b[0, j]), f"b2{3 + j}": float(b[1, j])}
+    witness = witness_of(form) if holds and witness_of is not None else None
+    return CriterionReport(criterion=criterion, holds=holds, witness=witness, detail=detail)
 
 
 def nonneg_signature_check(a: BlockMatrix) -> CriterionReport:
@@ -266,16 +281,7 @@ def nonneg_signature_check(a: BlockMatrix) -> CriterionReport:
     Decided by the word-quantity inequality on the canonical rotation; when it
     holds the witness is attached (the construction below).
     """
-    report = _word_report(a, "signature-nonneg")
-    if not report.holds:
-        return report
-    witness = construct_nonneg_signature(a)
-    return CriterionReport(
-        criterion=report.criterion,
-        holds=True,
-        witness=witness,
-        detail=report.detail,
-    )
+    return _signature_report("signature-nonneg", a, "word", _nonneg_witness)
 
 
 def word_positivity_check(t: BlockMatrix) -> CriterionReport:
@@ -283,47 +289,50 @@ def word_positivity_check(t: BlockMatrix) -> CriterionReport:
     word trace in the first family is nonnegative for this matrix (hence the
     whole sum, every (k, m)). This is per tilt parameter; certifying the
     underlying vector needs it for all large tilt parameters."""
-    return _word_report(t, "word-positivity")
+    return _signature_report("word-positivity", t, "word")
+
+
+def _nonneg_witness(form: CanonicalForm) -> SignatureMatrix:
+    u1, u2 = _construct_core(form.rotated)
+    return SignatureMatrix(_polar_orthonormalize(form.w.u1 @ u1),
+                           _polar_orthonormalize(form.w.u2 @ u2))
 
 
 def construct_nonneg_signature(a: BlockMatrix) -> SignatureMatrix:
-    """Signature matrix U with U^t A U entrywise >= -WITNESS_TOL.
+    """Signature matrix U with U^t A U entrywise >= -WITNESS_TOL * max|A|.
 
     Raises PreconditionViolated when the word inequality fails; no witness
     exists then.
     """
-    w, rot, qv = canonical_rotation(a, "word")
-    if qv < -QUANTITY_TOL:
-        raise PreconditionViolated(f"word inequality fails (quantity {qv:.3e})")
-    u1, u2 = _construct_core(rot)
-    return SignatureMatrix(
-        u1=_polar_orthonormalize(w.u1 @ u1),
-        u2=_polar_orthonormalize(w.u2 @ u2),
-    )
+    form = canonical_rotation(a, "word")
+    if not quantity_holds(form.quantity, a):
+        raise PreconditionViolated(f"word inequality fails (quantity {form.quantity:.3e})")
+    return _nonneg_witness(form)
 
 
 _P1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _nonpos_offdiag_witness(form: CanonicalForm) -> SignatureMatrix:
+    rot = form.rotated
+    flipped = rot.full.copy()
+    flipped[:2, 2:] = _P1 @ rot.b12 @ _P1
+    flipped[2:, :2] = flipped[:2, 2:].T
+    u1, u2 = _construct_core(BlockMatrix.from_array(flipped, 2))
+    return SignatureMatrix(_polar_orthonormalize(-form.w.u1 @ _P1 @ u1),
+                           _polar_orthonormalize(form.w.u2 @ _P1 @ u2))
+
+
 def construct_nonpos_offdiag(a: BlockMatrix):
     """Signature matrix U with U^t A U having off-diagonal entries
-    <= WITNESS_TOL, or None when the companion inequality fails.
+    <= WITNESS_TOL * max|A|, or None when the companion inequality fails.
 
     Reduction: conjugating the canonical form by the swap P on both sides of
     the off-diagonal block turns the off-diagonal target into the entrywise
     target, at the price of a sign on the first factor.
     """
-    w, rot, qv = canonical_rotation(a, "offdiag")
-    if qv < -QUANTITY_TOL:
-        return None
-    flipped = rot.full.copy()
-    flipped[:2, 2:] = _P1 @ rot.b12 @ _P1
-    flipped[2:, :2] = flipped[:2, 2:].T
-    u1, u2 = _construct_core(BlockMatrix.from_array(flipped, 2))
-    return SignatureMatrix(
-        u1=_polar_orthonormalize(-w.u1 @ _P1 @ u1),
-        u2=_polar_orthonormalize(w.u2 @ _P1 @ u2),
-    )
+    form = canonical_rotation(a, "offdiag")
+    return _nonpos_offdiag_witness(form) if quantity_holds(form.quantity, a) else None
 
 
 def precision_signature_check(model: CovarianceModel) -> CriterionReport:
@@ -335,35 +344,20 @@ def precision_signature_check(model: CovarianceModel) -> CriterionReport:
     """
     if model.n1 != 2 or model.n2 != 2:
         raise ShapeError(f"need 2+2 blocks, got {model.n1}+{model.n2}")
-    prec = invert_blocks(model)
-    _, rot, qv = canonical_rotation(prec, "offdiag")
-    b = rot.b12
-    pair = matcore.eigen2(b @ b.T)
-    holds = qv >= -QUANTITY_TOL
-    witness = construct_nonpos_offdiag(prec) if holds else None
-    return CriterionReport(
-        criterion="precision-offdiag",
-        holds=holds,
-        witness=witness,
-        detail={
-            "quantity": float(qv),
-            "v11": float(pair.v1[0]),
-            "v21": float(pair.v1[1]),
-            "b14": float(b[0, 1]),
-            "b24": float(b[1, 1]),
-        },
-    )
+    return _signature_report("precision-offdiag", invert_blocks(model), "offdiag",
+                             _nonpos_offdiag_witness)
 
 
 def griffiths_bapat_check(sigma, tol: float = GB_TOL) -> CriterionReport:
-    """Is D Sigma^(-1) D off-diagonally <= tol for some D = diag(+-1)?
+    """Is D Sigma^(-1) D off-diagonally <= tol * max|Sigma^(-1)| for some
+    D = diag(+-1)?
 
-    Entry p = Sigma^(-1)[i, j] allows s_i s_j = +1 iff p <= tol and
-    s_i s_j = -1 iff -p <= tol. A non-finite p, or a pair allowing neither
-    product, fails the check (it is never free); pairs allowing exactly one
-    product are the edges of a signed graph. A sign
-    vector exists iff that graph is balanced (Harary, Michigan Math. J. 2,
-    1953), which a breadth-first 2-colouring decides in O(n^2).
+    With e = tol * max|Sigma^(-1)|, entry p = Sigma^(-1)[i, j] allows
+    s_i s_j = +1 iff p <= e and s_i s_j = -1 iff -p <= e. A non-finite entry
+    of Sigma^(-1), or a pair allowing neither product, fails the check (it is
+    never free); pairs allowing exactly one product are the edges of a signed
+    graph. A sign vector exists iff that graph is balanced (Harary, Michigan
+    Math. J. 2, 1953), which a breadth-first 2-colouring decides in O(n^2).
 
     The witness has s_0 = +1 (the conjugation symmetry) and every other
     component oriented so its highest index is +1: the lowest valid vector
@@ -374,10 +368,13 @@ def griffiths_bapat_check(sigma, tol: float = GB_TOL) -> CriterionReport:
     n = s.shape[0]
     inv = matcore.inverse_spd(s)
     fails = CriterionReport(criterion="griffiths-bapat", holds=False, witness=None, detail={})
+    if not np.isfinite(inv).all():
+        return fails
+    tol = tol * np.abs(inv).max()
     equal_ok = inv <= tol
     opposite_ok = -inv <= tol
     off_mask = ~np.eye(n, dtype=bool)
-    if not ((equal_ok | opposite_ok) & np.isfinite(inv))[off_mask].all():
+    if not (equal_ok | opposite_ok)[off_mask].all():
         return fails
     edges = (equal_ok != opposite_ok) & off_mask
     adjacency = [np.flatnonzero(row).tolist() for row in edges]
@@ -464,11 +461,10 @@ def falsify_word_positivity(a: BlockMatrix, kcap: int = 200):
     exits early once the sign stabilizes over 3 consecutive K. Returns a
     FalsifyResult or None if the sign never stabilized below zero by kcap.
     """
-    _, rot, _ = canonical_rotation(a, "word")
+    _, rot, _, pair = canonical_rotation(a, "word")
     d1 = np.diag(rot.b11)
     d2 = np.diag(rot.b22)
     b = rot.b12
-    pair = matcore.eigen2(b @ b.T)
     l1, l2 = pair.lambda1, pair.lambda2
     if l1 <= 0:
         return None

@@ -221,9 +221,9 @@ def suite_criteria() -> list[dict]:
     worst_off = 0.0
     for _ in range(120):
         a = _block(gen)
-        _, _, qv = criteria.canonical_rotation(a, "offdiag")
+        qv = criteria.canonical_rotation(a, "offdiag").quantity
         witness = criteria.construct_nonpos_offdiag(a)
-        agree = agree and ((witness is not None) == (qv >= -criteria.QUANTITY_TOL))
+        agree = agree and ((witness is not None) == criteria.quantity_holds(qv, a))
         if witness is not None:
             out = witness.conjugate(a).full
             worst_off = max(worst_off, float((out - np.diag(np.diag(out))).max()))
@@ -285,8 +285,8 @@ def suite_families() -> list[dict]:
             if criteria.nonneg_signature_check(fam).holds != (de <= ep):
                 ok_tilt = False
             prec = model.materialize(model.DeltaEpsilonFamily("precision", diag, float(de), float(ep)))
-            _, _, qv = criteria.canonical_rotation(prec, "offdiag")
-            if (qv >= -criteria.QUANTITY_TOL) != (de <= ep):
+            qv = criteria.canonical_rotation(prec, "offdiag").quantity
+            if criteria.quantity_holds(qv, prec) != (de <= ep):
                 ok_prec = False
     checks.append(_check("tilt family truth table: holds iff delta <= epsilon", ok_tilt))
     checks.append(_check("precision family truth table: holds iff delta <= epsilon", ok_prec))

@@ -43,7 +43,7 @@ from infdiv import (
     word_positivity_check,
 )
 from infdiv.cli import FIGURE_MATRIX
-from infdiv.criteria import QUANTITY_TOL
+from infdiv.criteria import quantity_holds
 from infdiv.model import DeltaEpsilonFamily
 from infdiv.sampling import random_covariance, random_tilt_like
 
@@ -190,8 +190,8 @@ def test_criterion_07_constructed_witnesses_are_valid():
     worst_off = -math.inf
     while off_done < 500:
         t = BlockMatrix.from_array(random_tilt_like(gen, 4), 2)
-        _, _, qv = canonical_rotation(t, "offdiag")
-        if qv < -QUANTITY_TOL:
+        qv = canonical_rotation(t, "offdiag").quantity
+        if not quantity_holds(qv, t):
             continue
         w = construct_nonpos_offdiag(t)
         assert w is not None

@@ -103,6 +103,19 @@ def test_check_json_artifact(tmp_path, demo_q, capsys):
     assert payload["scan"][0]["value"] > 0
 
 
+def test_check_verdict_is_scale_invariant(tmp_path, capsys):
+    # Sigma and 1e150 * Sigma have the same verdict: no tolerance is absolute
+    g = np.random.default_rng(99).standard_normal((4, 4))
+    sigma = g.T @ g / 4 + 0.05 * np.eye(4)
+    for factor in (1.0, 1e150):
+        path = sigma_file(tmp_path, factor * sigma, 2)
+        code, out, _ = run(capsys, ["check", "--sigma", path, "--format", "json"])
+        reasons = json.loads(out)["verdict"]["reasons"]
+        assert code == 2
+        assert [(r["criterion"], r["holds"]) for r in reasons[:2]] == [
+            ("griffiths-bapat", False), ("precision-offdiag", False)]
+
+
 def test_check_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["check", "--sigma", str(tmp_path / "missing.json")])
     assert code == 1 and "error" in err

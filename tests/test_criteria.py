@@ -24,7 +24,7 @@ from infdiv import (
     word_positivity_check,
 )
 from infdiv import criteria, matcore
-from infdiv.criteria import GB_TOL, QUANTITY_TOL
+from infdiv.criteria import GB_TOL, quantity_holds
 from infdiv.model import DeltaEpsilonFamily
 
 
@@ -51,11 +51,11 @@ def test_block_diagonalize(tilt_blocks):
 def test_canonical_rotation_invariance(tilt_blocks):
     # the reported quantity must not depend on the incoming basis
     a = tilt_blocks()
-    _, _, q0 = canonical_rotation(a, "word")
+    _, _, q0, _ = canonical_rotation(a, "word")
     th = 0.7
     r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     w = SignatureMatrix(u1=r, u2=r.T)
-    _, _, q1 = canonical_rotation(w.conjugate(a), "word")
+    _, _, q1, _ = canonical_rotation(w.conjugate(a), "word")
     npt.assert_allclose(q0, q1, atol=1e-12)
 
 
@@ -69,10 +69,170 @@ def test_tie_quantity_is_nonnegative():
         m[2:, 2:] = np.diag([1.5, 0.7])
         m[:2, 2:] = b
         a = BlockMatrix.from_array(m + m.T - np.diag(np.diag(m)), 2)
-        _, _, qv = canonical_rotation(a, "word")
+        _, _, qv, _ = canonical_rotation(a, "word")
         assert qv >= -1e-14
-        _, _, qv = canonical_rotation(a, "offdiag")
+        _, _, qv, _ = canonical_rotation(a, "offdiag")
         assert qv >= -1e-14
+
+
+def _tied(gen, tie):
+    """Random positive definite 2+2 matrix whose block `tie` is c*I."""
+    b = 0.6 * gen.standard_normal((2, 2))
+    g = gen.standard_normal((2, 2))
+    d = g.T @ g / 2 + 0.25 * np.eye(2)
+    need = np.linalg.eigvalsh(b @ np.linalg.inv(d) @ b.T).max()
+    m = np.block([[(need * gen.uniform(1.2, 2.0) + 0.05) * np.eye(2), b], [b.T, d]])
+    return _tie_block(m, tie)
+
+
+def _tie_block(m, tie):
+    """m has its tied block first; tie 2 swaps the blocks."""
+    if tie == 2:
+        m = m[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
+    return BlockMatrix.from_array(m, 2)
+
+
+def _quantity_of(rot, target):
+    """The decisive quantity recomputed on a rotated matrix."""
+    j = 0 if target == "word" else 1
+    b = rot.b12
+    v = matcore.eigen2(b @ b.T).v1
+    return v[j] * b[j, j] * (v @ b[:, j])
+
+
+def _grid_oracle(a, target):
+    """The best quantity over 720 equally spaced angles of the tied block's
+    rotation, with numpy's eigh for the top eigenvector of B B^t."""
+    j = 0 if target == "word" else 1
+    _, rot = block_diagonalize(a)
+    d1 = np.diag(rot.b11)
+    tie1 = abs(d1[0] - d1[1]) <= criteria.TIE_REL * np.abs(d1).max()
+    th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    r = np.stack([np.stack([np.cos(th), -np.sin(th)], -1),
+                  np.stack([np.sin(th), np.cos(th)], -1)], -2)
+    b = np.swapaxes(r, -1, -2) @ rot.b12 if tie1 else rot.b12 @ r
+    v = np.linalg.eigh(b @ np.swapaxes(b, -1, -2))[1][:, :, -1]
+    return float((v[:, j] * b[:, j, j] * np.einsum("ti,ti->t", v, b[:, :, j])).max())
+
+
+def test_tie_closed_form_matches_grid_oracle():
+    gen = np.random.default_rng(1986)
+    for i in range(200):
+        a = _tied(gen, 1 + i % 2)
+        s2 = np.abs(a.full).max() ** 2
+        for target in ("word", "offdiag"):
+            w, rot, qv, _ = canonical_rotation(a, target)
+            oracle = _grid_oracle(a, target)
+            assert qv >= oracle - 1e-12 * s2
+            assert qv <= oracle * (1 + 1e-4)
+            npt.assert_allclose(_quantity_of(w.conjugate(a), target), qv, rtol=1e-9)
+            npt.assert_allclose(w.conjugate(a).full, rot.full, atol=1e-12 * s2 ** 0.5)
+
+
+def _assert_tie_witnesses(a):
+    scale = np.abs(a.full).max()
+    for target in ("word", "offdiag"):
+        assert canonical_rotation(a, target).quantity >= 0.0
+    w = construct_nonneg_signature(a)
+    assert w.conjugate(a).full.min() >= -1e-10 * scale
+    w = construct_nonpos_offdiag(a)
+    out = w.conjugate(a).full
+    assert (out - np.diag(np.diag(out))).max() <= 1e-10 * scale
+    for u in (w.u1, w.u2):
+        npt.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("tie", [1, 2])
+@pytest.mark.parametrize("factor", [1.0, 2.0 ** 500, 2.0 ** -500])
+def test_tie_degenerate_inputs(tie, factor):
+    c, s = np.cos(0.4), np.sin(0.4)
+    offdiag = {
+        "scaled-orthogonal": 0.5 * np.array([[c, -s], [s, c]]),  # B B^t = I / 4
+        "zero-column-0": np.array([[0.0, 0.4], [0.0, -0.3]]),
+        "zero-column-1": np.array([[0.4, 0.0], [-0.3, 0.0]]),
+        "zero": np.zeros((2, 2)),
+    }
+    for second in (np.diag([1.5, 0.7]), 1.2 * np.eye(2)):  # then both tied
+        for b in offdiag.values():
+            m = np.block([[2.0 * np.eye(2), b], [b.T, second]])
+            _assert_tie_witnesses(_tie_block(factor * m, tie))
+
+
+def test_tie_free_eigenvector_quantity():
+    # B B^t = I / 4: the top eigenvector of the rotated B B^t is roundoff, so
+    # the quantity is v_j^2 / 4 for whatever v that is, never negative
+    c, s = np.cos(0.4), np.sin(0.4)
+    b = 0.5 * np.array([[c, -s], [s, c]])
+    a = BlockMatrix.from_array(np.block([[2.0 * np.eye(2), b], [b.T, np.diag([1.5, 0.7])]]), 2)
+    for target in ("word", "offdiag"):
+        j = 0 if target == "word" else 1
+        _, rot, qv, pair = canonical_rotation(a, target)
+        npt.assert_allclose(qv, pair.v1[j] ** 2 / 4, rtol=1e-12)
+        npt.assert_allclose(abs(rot.b12[j, j]), 0.5, rtol=1e-12)
+        assert abs(rot.b12[1 - j, j]) <= 1e-15
+
+
+def test_canonical_rotation_invariance_tied():
+    gen = np.random.default_rng(2718)
+    for i in range(20):
+        a = _tied(gen, 1 + i % 2)
+        th1, th2 = gen.uniform(0, 2 * np.pi, 2)
+        w = SignatureMatrix(u1=np.array([[np.cos(th1), -np.sin(th1)], [np.sin(th1), np.cos(th1)]]),
+                            u2=np.array([[np.cos(th2), np.sin(th2)], [np.sin(th2), -np.cos(th2)]]))
+        for target in ("word", "offdiag"):
+            q0 = canonical_rotation(a, target).quantity
+            q1 = canonical_rotation(w.conjugate(a), target).quantity
+            npt.assert_allclose(q0, q1, atol=1e-12)
+
+
+def test_tie_path_conjugates_at_most_twice(monkeypatch):
+    # block_diagonalize once and the closed-form rotation once: an angle
+    # search would conjugate once per candidate
+    calls = []
+    conjugate = SignatureMatrix.conjugate
+
+    def counting(self, a):
+        calls.append(1)
+        return conjugate(self, a)
+
+    monkeypatch.setattr(SignatureMatrix, "conjugate", counting)
+    gen = np.random.default_rng(31)
+    for tie in (1, 2):
+        a = _tied(gen, tie)
+        for target in ("word", "offdiag"):
+            calls.clear()
+            canonical_rotation(a, target)
+            assert len(calls) <= 2
+
+
+def _scale_cases(gen, count):
+    """2+2 covariances: Griffiths-Bapat-true ones, precision-family ones
+    (precision criterion true iff delta <= epsilon) and Wishart-like ones."""
+    for _ in range(count):
+        yield _gb_true_sigma(gen, 4)
+        de, ep = gen.uniform(0.1, 0.9, 2)
+        yield np.linalg.inv(materialize(DeltaEpsilonFamily("precision", (4.0, 2.5, 3.5, 2.2),
+                                                           de, ep)).full)
+        g = gen.standard_normal((4, 4))
+        yield g.T @ g / 4 + 0.05 * np.eye(4)
+
+
+def test_decisions_are_scale_invariant(tilt_blocks):
+    seen = set()
+    for sigma in _scale_cases(np.random.default_rng(4242), 12):
+        t = tilt_blocks()
+        base = (griffiths_bapat_check(sigma).holds,
+                precision_signature_check(_model(sigma, 2)).holds,
+                word_positivity_check(t).holds)
+        seen.add(base)
+        for f in (2.0 ** 300, 2.0 ** -300):
+            t_f = BlockMatrix.from_array(f * t.full, 2)
+            assert (griffiths_bapat_check(f * sigma).holds,
+                    precision_signature_check(_model(f * sigma, 2)).holds,
+                    word_positivity_check(t_f).holds) == base
+            assert nonneg_signature_check(t_f).holds == base[2]
+    for i in range(3):  # each decision is seen both ways
+        assert {case[i] for case in seen} == {True, False}
 
 
 def test_word_check_on_family_boundary():
@@ -107,8 +267,8 @@ def test_construct_offdiag_witness(tilt_blocks):
     while built < 25:
         a = tilt_blocks()
         w = construct_nonpos_offdiag(a)
-        _, _, qv = canonical_rotation(a, "offdiag")
-        assert (w is not None) == (qv >= -QUANTITY_TOL)
+        _, _, qv, _ = canonical_rotation(a, "offdiag")
+        assert (w is not None) == quantity_holds(qv, a)
         if w is None:
             continue
         built += 1
@@ -184,9 +344,11 @@ def test_griffiths_bapat_needs_sign_flip():
 
 def _brute_force_griffiths_bapat(sigma, tol=GB_TOL):
     """Reference: try all 2^(n-1) sign vectors with s_0 = +1 in index order
-    (bit i of the index set means s_(i+1) = -1); the first valid one wins."""
+    (bit i of the index set means s_(i+1) = -1); the first valid one wins.
+    The tolerance is relative, tol * max|Sigma^(-1)|."""
     inv = matcore.inverse_spd(sigma)
     n = inv.shape[0]
+    tol = tol * np.abs(inv).max()
     off_mask = ~np.eye(n, dtype=bool)
     for idx in range(1 << (n - 1)):
         signs = np.ones(n)
