@@ -40,6 +40,10 @@ CERTIFIED = "CertifiedID"
 NOT_ID = "NotIDWitness"
 UNDETERMINED = "Undetermined"
 
+# trials sampled and filtered together by search; peak memory does not grow
+# with --trials
+_SEARCH_CHUNK = 1024
+
 # a cell counts as negative only below this fraction of the largest magnitude
 # on its own anti-diagonal; guards against cancellation noise at high k+m
 NEG_CELL_REL = 1e-9
@@ -421,6 +425,16 @@ def _family_selftest() -> tuple[bool, list[dict]]:
     return ok, rows
 
 
+def _filtered_trials(gen: np.random.Generator, count: int):
+    """(trial, matrix, word quantity, word positivity holds) for `count`
+    tilt-like samples, drawn and filtered as one stack per _SEARCH_CHUNK
+    trials; the same samples and decisions as one trial at a time."""
+    for start in range(0, count, _SEARCH_CHUNK):
+        stack = sampling.random_tilt_like(gen, size=min(_SEARCH_CHUNK, count - start))
+        quantities, holds = criteria.word_positivity_stack(stack)
+        yield from zip(range(start, count), stack, quantities.tolist(), holds.tolist())
+
+
 def cmd_search(args) -> int:
     fields = {}
     if args.config:
@@ -449,17 +463,16 @@ def cmd_search(args) -> int:
     trials = []
     candidates = []
     scanned = 0
-    for i in range(cfg.trials):
-        t = BlockMatrix.from_array(sampling.random_tilt_like(gen), 2)
-        rep = criteria.word_positivity_check(t)
-        if rep.holds:
+    for i, sample, qv, skip in _filtered_trials(gen, cfg.trials):
+        if skip:
             trials.append({"trial": i, "skipped": "word positivity holds",
-                           "quantity": rep.detail["quantity"]})
+                           "quantity": qv})
             continue
         scanned += 1
+        t = BlockMatrix.from_array(sample, 2)
         grid = _finite_grid(t, cfg.kmax, cfg.mmax)
         idx = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        entry = {"trial": i, "quantity": rep.detail["quantity"],
+        entry = {"trial": i, "quantity": qv,
                  "min_cell": {"k": int(idx[0]), "m": int(idx[1]),
                               "value": float(grid[idx])}}
         cells = []
@@ -568,11 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated tilt parameters (sigma mode)")
     p.add_argument("--kmax", type=int, default=40)
     p.add_argument("--mmax", type=int, default=40)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("figure1", parents=[shared],
                        help="emit the built-in 61x61 grid as CSV")
-    p.set_defaults(fn=cmd_figure1)
 
     p = sub.add_parser("search", parents=[shared],
                        help="randomized negative-cell search")
@@ -580,13 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--mmax", type=int, default=None)
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("verify", parents=[shared],
                        help="run the internal property suites")
     p.add_argument("--filter", default=None,
                    help="run a single suite by name")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("laplace", parents=[shared],
                        help="closed form, series and Monte Carlo at one point")
@@ -595,14 +604,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--nmax", type=int, default=None)
-    p.set_defaults(fn=cmd_laplace)
     return ap
 
 
+# one parser per process: parse_args keeps no state between calls
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

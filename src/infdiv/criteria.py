@@ -58,7 +58,9 @@ class SignatureMatrix:
 
     def __post_init__(self):
         for u in (self.u1, self.u2):
-            gram_err = np.abs(u.T @ u - np.eye(u.shape[0])).max()
+            gram = u.T @ u
+            gram.flat[::u.shape[0] + 1] -= 1.0  # U^t U - I
+            gram_err = np.abs(gram).max()
             if gram_err > 1e-10:
                 raise ValueError(f"block is not orthogonal (gram error {gram_err:.2e})")
 
@@ -136,53 +138,75 @@ class CanonicalForm(NamedTuple):
     pair: matcore.EigenPair2
 
 
+def _holds(qv, scale):
+    """qv >= 0 up to QUANTITY_TOL * scale^2, elementwise on arrays."""
+    return qv / scale / scale >= -QUANTITY_TOL
+
+
 def quantity_holds(qv: float, a: BlockMatrix) -> bool:
     """qv >= 0 up to the roundoff allowance QUANTITY_TOL * max|A|^2."""
-    s = float(np.abs(a.full).max())
-    return qv / s / s >= -QUANTITY_TOL
+    return _holds(qv, float(np.abs(a.full).max()))
 
 
-def canonical_rotation(a: BlockMatrix, target: str) -> CanonicalForm:
-    """Canonical form for the scalar inequality of `target`: "word" (decisive
-    index j = 0) or "offdiag" (j = 1).
+def _untied_forms(a: np.ndarray, j: int):
+    """The canonical form away from ties of every matrix of the exactly
+    symmetric (N, 4, 4) stack a, for decisive index j.
 
-    The quantity is v_j b_jj (v^t B e_j), with B the rotated off-diagonal
-    block and v the top eigenvector of B B^t: v11*b13*(v11*b13 + v21*b23)
-    for "word" and v21*b24*(v21*b24 + v11*b14) for "offdiag", invariant
-    under v -> -v.
-
-    Away from ties this is block_diagonalize plus the quantity. When a
-    rotated diagonal block has equal entries to TIE_REL relative (block 1
-    wins if both do), its rotation R is free and the quantity at R is
-    (r.x)(r.y) with r = R e_j. Block 1 tied: B -> R^t B and v -> R^t v leave
-    c = v^t B e_j invariant, so x = c v and y = B e_j. Block 2 tied: B -> B R
-    leaves v invariant, so x = v_j B[j, :] and y = B^t v. The maximum over R
-    is (|x||y| + x.y)/2 at r along x/|x| + y/|y| (r orthogonal to x when
-    that is 0; R = I when x or y is 0); computed as |x||y| |x/|x| + y/|y||^2
-    / 4 it is never negative in floats, so every tied input satisfies both
-    inequalities. The form at that R is returned with that maximum.
-
-    When B B^t is within TIE_REL of a multiple of I, v is free as well and
-    v -> R^t v fails. R then turns column j (block 1 tied) or row j (block 2
-    tied) of B onto axis j, which makes the quantity v_j^2 |B e_j|^2
-    (|B[j, :]|^2) >= 0 whatever eigenvector the rotated B B^t gets.
+    Both diagonal blocks are rotated by eigen2's eigenvectors (W = diag(U1,
+    U2), rotated = W^t A W, as in block_diagonalize) and the quantity is
+    computed from the top eigenvector v of B B^t. The gate, the products
+    and the orthogonality check run on the whole stack; the closed forms,
+    tie flags and quantities on each row's Python floats, which keeps the
+    bits of the one-matrix arithmetic. Returns (W, rotated, B B^t's eigen2
+    rows, quantities, tie1, tied) with per-row lists after the arrays:
+    tie1 flags a rotated block 1 whose diagonal entries are equal to
+    TIE_REL relative, tied flags either block, and a tied row's quantity is
+    not yet its canonical one. A matrix that is not positive definite
+    raises NotPositiveDefinite.
     """
-    if a.n1 != 2 or a.n2 != 2:
-        raise ShapeError(f"need 2+2 blocks, got {a.n1}+{a.n2}")
-    if target not in ("word", "offdiag"):
-        raise ValueError(f"unknown target {target!r}")
-    j = int(target == "offdiag")
-    w, rot = block_diagonalize(a)
-    d1 = np.diag(rot.b11)
-    d2 = np.diag(rot.b22)
-    tie1 = abs(d1[0] - d1[1]) <= TIE_REL * max(abs(d1[0]), abs(d1[1]))
-    tie2 = abs(d2[0] - d2[1]) <= TIE_REL * max(abs(d2[0]), abs(d2[1]))
+    if not matcore.is_positive_definite(a).all():
+        raise NotPositiveDefinite("block_diagonalize requires a positive definite input")
+    n = len(a)
+    rows = a.reshape(n, 16).tolist()
+    blocks = matcore.eigen2_rows([(r[0], r[1], r[5]) for r in rows]
+                                 + [(r[10], r[11], r[15]) for r in rows])
+    # each U = [[x, -y], [y, x]] for its block's top eigenvector (x, y)
+    w = np.array([(x1, 0.0 - y1, 0.0, 0.0, y1, x1, 0.0, 0.0,
+                   0.0, 0.0, x2, 0.0 - y2, 0.0, 0.0, y2, x2)
+                  for (_, _, x1, y1), (_, _, x2, y2) in zip(blocks[:n], blocks[n:])])
+    w = w.reshape(a.shape)
+    # W^t W - I: the squared column norms less 1 on the diagonal, 0 off it
+    gram_err = np.abs((w * w).sum(axis=1) - 1.0).max(initial=0.0)
+    if gram_err > 1e-10:
+        raise ValueError(f"block is not orthogonal (gram error {gram_err:.2e})")
+    rot = matcore.symmetrize(np.swapaxes(w, 1, 2) @ a @ w)
+    b = rot[:, :2, 2:]
+    pairs = matcore.eigen2_rows((p, q, s) for p, q, _, s
+                                in (b @ np.swapaxes(b, 1, 2)).reshape(n, 4).tolist())
+    quantity, tie1, tied = [], [], []
+    for r, (_, _, *v) in zip(rot.reshape(n, 16).tolist(), pairs):
+        bj, bk = (r[2], r[6]) if j == 0 else (r[7], r[3])  # b[j, j], b[1 - j, j]
+        quantity.append(v[j] * bj * (v[j] * bj + v[1 - j] * bk))
+        t1, t2 = (abs(r[i] - r[i + 5]) <= TIE_REL * max(abs(r[i]), abs(r[i + 5]))
+                  for i in (0, 10))
+        tie1.append(t1)
+        tied.append(t1 or t2)
+    return w, rot, pairs, quantity, tie1, tied
+
+
+def _canonical_form(a: BlockMatrix, forms, i: int, j: int) -> CanonicalForm:
+    """Wrap row i of forms = _untied_forms(stack, j), whose row i is a; a
+    tied row gets its rotation and quantity from the closed form (see
+    canonical_rotation)."""
+    w, rot, pairs, quantity, tie1, tied = forms
+    w = SignatureMatrix(u1=w[i, :2, :2].copy(), u2=w[i, 2:, 2:].copy())
+    rot = BlockMatrix(full=rot[i], n1=2, n2=2)
+    pair = matcore.EigenPair2.from_row(pairs[i])
+    if not tied[i]:
+        return CanonicalForm(w, rot, quantity[i], pair)
+    tie1 = tie1[i]
     b = rot.b12
-    pair = matcore.eigen2(b @ b.T)
     v = pair.v1
-    if not (tie1 or tie2):
-        qv = float(v[j] * b[j, j] * (v[j] * b[j, j] + v[1 - j] * b[1 - j, j]))
-        return CanonicalForm(w, rot, qv, pair)
     free_v = pair.lambda1 - pair.lambda2 <= TIE_REL * pair.lambda1
     if free_v:
         x = y = b[:, j] if tie1 else b[j, :]
@@ -206,6 +230,56 @@ def canonical_rotation(a: BlockMatrix, target: str) -> CanonicalForm:
     if free_v:
         qv *= float(pair.v1[j]) ** 2
     return CanonicalForm(w, rot, qv, pair)
+
+
+def canonical_rotation(a: BlockMatrix, target: str) -> CanonicalForm:
+    """Canonical form for the scalar inequality of `target`: "word" (decisive
+    index j = 0) or "offdiag" (j = 1).
+
+    The quantity is v_j b_jj (v^t B e_j), with B the rotated off-diagonal
+    block and v the top eigenvector of B B^t: v11*b13*(v11*b13 + v21*b23)
+    for "word" and v21*b24*(v21*b24 + v11*b14) for "offdiag", invariant
+    under v -> -v.
+
+    Away from ties this is the stack kernel _untied_forms run on a stack of
+    one: both blocks rotated as block_diagonalize does, plus the quantity.
+    When a rotated diagonal block has equal entries to TIE_REL relative
+    (block 1 wins if both do), its rotation R is free and the quantity at R
+    is (r.x)(r.y) with r = R e_j. Block 1 tied: B -> R^t B and v -> R^t v
+    leave c = v^t B e_j invariant, so x = c v and y = B e_j. Block 2 tied:
+    B -> B R leaves v invariant, so x = v_j B[j, :] and y = B^t v. The
+    maximum over R is (|x||y| + x.y)/2 at r along x/|x| + y/|y| (r
+    orthogonal to x when that is 0; R = I when x or y is 0); computed as
+    |x||y| |x/|x| + y/|y||^2 / 4 it is never negative in floats, so every
+    tied input satisfies both inequalities. The form at that R is returned
+    with that maximum.
+
+    When B B^t is within TIE_REL of a multiple of I, v is free as well and
+    v -> R^t v fails. R then turns column j (block 1 tied) or row j (block 2
+    tied) of B onto axis j, which makes the quantity v_j^2 |B e_j|^2
+    (|B[j, :]|^2) >= 0 whatever eigenvector the rotated B B^t gets.
+    """
+    if a.n1 != 2 or a.n2 != 2:
+        raise ShapeError(f"need 2+2 blocks, got {a.n1}+{a.n2}")
+    if target not in ("word", "offdiag"):
+        raise ValueError(f"unknown target {target!r}")
+    j = int(target == "offdiag")
+    return _canonical_form(a, _untied_forms(a.full[None], j), 0, j)
+
+
+def word_positivity_stack(t) -> tuple[np.ndarray, np.ndarray]:
+    """word_positivity_check's quantity and decision for every matrix of a
+    (N, 4, 4) stack of 2+2 tilt-like matrices, as two length-N arrays, each
+    entry bit-identical to the check on that matrix alone. Untied rows run
+    once through the stack kernel; only tied rows are wrapped and resolved
+    one by one."""
+    a = matcore.symmetrize(t)
+    forms = _untied_forms(a, 0)
+    qv, tied = forms[3], forms[5]
+    for i in np.flatnonzero(tied):
+        qv[i] = _canonical_form(BlockMatrix(full=a[i], n1=2, n2=2), forms, i, 0).quantity
+    qv = np.array(qv, dtype=float)
+    return qv, _holds(qv, np.abs(a).max(axis=(1, 2)))
 
 
 def _polar_orthonormalize(m: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ class BlockMatrix:
 
     @classmethod
     def from_array(cls, m, n1: int) -> "BlockMatrix":
-        a = matcore.symmetrize(m)
+        a = matcore.SymMatrix.from_array(m).entries
         n = a.shape[0]
         if not 1 <= n1 < n:
             raise ValueError(f"n1 must be in [1, {n - 1}], got {n1}")

@@ -127,19 +127,6 @@ def trace_sum_enum(t: BlockMatrix, k: int, m: int, cap: int = ENUM_CAP) -> Trace
     )
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Matrix coefficients of (T S)^N as a polynomial in (s1, s2).
-
-    coeff[c] is the n x n coefficient of s1^c s2^(N-c); summing over c
-    reproduces T^N (substitute s1 = s2 = 1).
-    """
-
-    degree: int
-    n1: int
-    coeff: np.ndarray  # shape (degree + 1, n, n)
-
-
 def _advance(coeff: np.ndarray, t: np.ndarray, n1: int) -> np.ndarray:
     """One multiplication by T S: block-1 columns raise the s1-degree,
     block-2 columns raise the s2-degree."""
@@ -149,17 +136,6 @@ def _advance(coeff: np.ndarray, t: np.ndarray, n1: int) -> np.ndarray:
     new[1:, :, :n1] = prod[:, :, :n1]
     new[:-1, :, n1:] = prod[:, :, n1:]
     return new
-
-
-def coeff_table(t: BlockMatrix, degree: int) -> CoeffTable:
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if degree > DP_CAP:
-        raise CapExceeded(f"degree {degree} exceeds cap {DP_CAP}")
-    coeff = np.eye(t.dim)[None, :, :]
-    for _ in range(degree):
-        coeff = _advance(coeff, t.full, t.n1)
-    return CoeffTable(degree=degree, n1=t.n1, coeff=coeff)
 
 
 def trace_sum_dp(t: BlockMatrix, k: int, m: int, cap: int = DP_CAP) -> TraceSumResult:
@@ -182,7 +158,8 @@ def dp_grid(t: BlockMatrix, kmax: int, mmax: int) -> np.ndarray:
     m >= deg - c, so each degree keeps just the window
     max(0, deg - mmax) <= c <= min(kmax, deg): (kmax+1)(mmax+1) - 1 n x n
     products in all, against (kmax+mmax)(kmax+mmax+1)/2 for the full
-    coeff_table, and every kept coefficient has coeff_table's exact bits.
+    table of coefficients, and every kept coefficient has the full table's
+    exact bits.
 
     The (0, 0) cell is the trivial empty word, trace(I) = n; it is included
     so grid consumers get a full rectangle.

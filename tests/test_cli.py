@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from infdiv import cli, tracesum
+from infdiv import BlockMatrix, cli, criteria, tracesum
+from infdiv.sampling import random_tilt_like
 from infdiv.tracesum import TraceSumResult
 
 
@@ -231,6 +232,12 @@ def test_check_disagreeing_evaluators_discard_cell(monkeypatch, demo_q, capsys):
     assert "disagree" in err
 
 
+def open_regime(stack):
+    """Stand-in for criteria.word_positivity_stack: every trial fails word
+    positivity with quantity -1, so search scans it."""
+    return np.full(len(stack), -1.0), np.zeros(len(stack), dtype=bool)
+
+
 def test_search_and_check_share_confirmation(monkeypatch, demo_q, capsys):
     # enumeration is negative but disagrees with dp: neither command may
     # count the cell as confirmed
@@ -251,9 +258,7 @@ def test_search_and_check_share_confirmation(monkeypatch, demo_q, capsys):
     assert code == 2
     assert "disagree" in err and "NotIDWitness" not in out
 
-    monkeypatch.setattr(criteria, "word_positivity_check",
-                        lambda t: criteria.CriterionReport(
-                            "word-positivity", False, None, {"quantity": -1.0}))
+    monkeypatch.setattr(criteria, "word_positivity_stack", open_regime)
     code, out, _ = run(capsys, ["search", "--trials", "1", "--kmax", "5",
                                 "--mmax", "5"])
     assert code == 0
@@ -271,9 +276,7 @@ def test_search_dp_only_cell_is_unconfirmed(monkeypatch, capsys):
         return g
 
     monkeypatch.setattr(tracesum, "dp_grid", fake_grid)
-    monkeypatch.setattr(criteria, "word_positivity_check",
-                        lambda t: criteria.CriterionReport(
-                            "word-positivity", False, None, {"quantity": -1.0}))
+    monkeypatch.setattr(criteria, "word_positivity_stack", open_regime)
     code, out, _ = run(capsys, ["search", "--trials", "1", "--kmax", "12",
                                 "--mmax", "12"])
     assert code == 0
@@ -388,16 +391,12 @@ def test_search_family_selftest_gate(monkeypatch, capsys):
 def test_search_non_finite_grid_is_an_error(monkeypatch, capsys):
     from infdiv import criteria
 
-    def open_regime(t):
-        return criteria.CriterionReport("word-positivity", False, None,
-                                        {"quantity": -1.0})
-
     def nan_grid(t, kmax, mmax):
         g = np.full((kmax + 1, mmax + 1), 1.0)
         g[4, 4] = np.nan
         return g
 
-    monkeypatch.setattr(criteria, "word_positivity_check", open_regime)
+    monkeypatch.setattr(criteria, "word_positivity_stack", open_regime)
     monkeypatch.setattr(tracesum, "dp_grid", nan_grid)
     code, out, err = run(capsys, ["search", "--trials", "2", "--kmax", "5",
                                   "--mmax", "5"])
@@ -467,3 +466,89 @@ def test_search_rejects_negative_seed(capsys):
     code, out, err = run(capsys, ["search", "--seed", "-1", "--trials", "2"])
     assert code == 1 and out == ""
     assert err == "error: seed must be >= 0\n"
+
+
+def _per_trial_report(trials, kmax, mmax, seed):
+    """The search report as written by drawing, filtering and scanning one
+    trial at a time."""
+    cfg = cli.ScanConfig(kmax=kmax, mmax=mmax, seed=seed, trials=trials)
+    _, selftest = cli._family_selftest()
+    gen = np.random.default_rng(seed)
+    rows, candidates, scanned = [], [], 0
+    for i in range(trials):
+        t = BlockMatrix.from_array(random_tilt_like(gen), 2)
+        rep = criteria.word_positivity_check(t)
+        if rep.holds:
+            rows.append({"trial": i, "skipped": "word positivity holds",
+                         "quantity": rep.detail["quantity"]})
+            continue
+        scanned += 1
+        grid = tracesum.dp_grid(t, kmax, mmax)
+        idx = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        entry = {"trial": i, "quantity": rep.detail["quantity"],
+                 "min_cell": {"k": int(idx[0]), "m": int(idx[1]),
+                              "value": float(grid[idx])}}
+        cells = []
+        for k, m, v in cli.find_negative_cells(grid):
+            confirmed, enum, _ = cli._confirm_negative(t, k, m, v)
+            cell = {"k": k, "m": m, "dp": v,
+                    "confirmed": None if enum is None else confirmed}
+            if enum is not None:
+                cell["enumeration"] = enum
+            cells.append(cell)
+        entry["negative_cells"] = len(cells)
+        rows.append(entry)
+        if cells:
+            candidates.append({"trial": i, "matrix": t.to_json(), "cells": cells})
+    report = {"config": cfg.to_json(), "family_selftest": selftest, "trials": rows,
+              "summary": {"trials": trials, "scanned": scanned,
+                          "skipped": trials - scanned, "candidates": candidates}}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# every case scans at least one trial; the chunked ones scan trials 12 and
+# 25 (five chunks of 7, the last one short) and 2, 7 and 12 (two full chunks)
+@pytest.mark.parametrize("seed, trials, chunk", [
+    (0, 100, None), (7, 100, None), (1234, 100, None), (2, 30, 7), (21, 14, 7),
+])
+def test_search_report_matches_per_trial_loop(monkeypatch, capsys, seed, trials, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
+    code, out, _ = run(capsys, ["search", "--trials", str(trials), "--kmax", "12",
+                                "--mmax", "12", "--seed", str(seed)])
+    assert code == 0
+    assert out == _per_trial_report(trials, 12, 12, seed)
+    assert json.loads(out)["summary"]["scanned"] > 0
+
+
+def test_main_builds_one_parser_and_dispatches_at_call_time(monkeypatch):
+    built, seen = [], []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for name in ("check", "figure1", "search", "verify", "laplace"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(vars(args)) or 0)
+    argvs = [
+        ["search", "--seed", "3", "--trials", "5"],
+        ["search"],
+        ["--seed", "4", "--output", "a.json", "search", "--kmax", "2"],
+        ["search", "--format", "json"],
+        ["check", "--q", "q.json", "--format", "json", "--output", "b.json"],
+        ["check", "--sigma", "s.json"],
+        ["--format", "csv", "figure1"],
+        ["figure1", "--seed", "9"],
+        ["figure1"],
+        ["verify", "--filter", "families"],
+        ["laplace", "--sigma", "s.json", "--s1", "0.1", "--s2", "0.2", "--seed", "2"],
+        ["laplace", "--sigma", "s.json", "--s1", "0.1", "--s2", "0.2"],
+        ["search", "--seed", "3", "--trials", "5"],
+    ]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        assert seen[-1] == vars(build().parse_args(argv))
+    assert len(built) == 1 and len(seen) == len(argvs)

@@ -5,6 +5,7 @@ import pytest
 from infdiv import (
     BlockMatrix,
     CovarianceModel,
+    NotPositiveDefinite,
     PreconditionViolated,
     ShapeError,
     SignatureMatrix,
@@ -22,10 +23,12 @@ from infdiv import (
     shanbhag_check,
     trace_sum_dp,
     word_positivity_check,
+    word_positivity_stack,
 )
 from infdiv import criteria, matcore
 from infdiv.criteria import GB_TOL, quantity_holds
 from infdiv.model import DeltaEpsilonFamily
+from infdiv.sampling import random_tilt_like
 
 
 def _model(sigma, n1, a=1.0):
@@ -203,6 +206,79 @@ def test_tie_path_conjugates_at_most_twice(monkeypatch):
             calls.clear()
             canonical_rotation(a, target)
             assert len(calls) <= 2
+
+
+def _mixed_stack(gen):
+    """2+2 matrices mixing untied rows, rows with block 1 or block 2 tied,
+    tied rows whose B is a scaled orthogonal matrix and an untied row with
+    diagonal blocks, at three scales."""
+    c, s = np.cos(0.4), np.sin(0.4)
+    b = 0.5 * np.array([[c, -s], [s, c]])
+    ortho = np.block([[2.0 * np.eye(2), b], [b.T, np.diag([1.5, 0.7])]])
+    mats = []
+    for i in range(6):
+        mats += [BlockMatrix.from_array(random_tilt_like(gen), 2) for _ in range(3)]
+        mats.append(_tied(gen, 1 + i % 2))
+    mats += [_tie_block(ortho, 1), _tie_block(ortho, 2),
+             materialize(DeltaEpsilonFamily("tilt", (4.0, 2.5, 3.5, 2.2), 0.3, 0.5))]
+    return [BlockMatrix.from_array(f * m.full, 2) for f in (1.0, 2.0 ** 300, 2.0 ** -300)
+            for m in mats]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_same_form(got, want):
+    assert _bits(got.quantity) == _bits(want.quantity)
+    assert type(got.quantity) is type(want.quantity)
+    for u, v in ((got.w.u1, want.w.u1), (got.w.u2, want.w.u2),
+                 (got.rotated.full, want.rotated.full)):
+        assert _bits(u) == _bits(v)
+    for field in ("lambda1", "lambda2", "v1", "v2"):
+        assert _bits(getattr(got.pair, field)) == _bits(getattr(want.pair, field))
+
+
+def test_stack_kernel_matches_canonical_rotation_bitwise():
+    mats = _mixed_stack(np.random.default_rng(77))
+    stack = np.stack([m.full for m in mats])
+    for target in ("word", "offdiag"):
+        j = int(target == "offdiag")
+        forms = criteria._untied_forms(stack, j)
+        w, rot, _, _, tie1, tied = forms
+        assert 0 < sum(tied) < len(mats) and 0 < sum(tie1) < sum(tied)
+        for i, a in enumerate(mats):
+            want = canonical_rotation(a, target)
+            _assert_same_form(criteria._canonical_form(a, forms, i, j), want)
+            # before any tie is resolved, the form is block_diagonalize's
+            bw, brot = block_diagonalize(a)
+            assert _bits(bw.full) == _bits(w[i]) and _bits(brot.full) == _bits(rot[i])
+            if not tied[i]:
+                b = brot.b12
+                v = matcore.eigen2(b @ b.T).v1
+                q = float(v[j] * b[j, j] * (v[j] * b[j, j] + v[1 - j] * b[1 - j, j]))
+                assert _bits(q) == _bits(want.quantity)
+    quantity, holds = word_positivity_stack(stack)
+    assert quantity.shape == holds.shape == (len(mats),)
+    for q, h, a in zip(quantity.tolist(), holds.tolist(), mats):
+        rep = word_positivity_check(a)
+        assert _bits(q) == _bits(rep.detail["quantity"]) and h is rep.holds
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan"])
+def test_stack_kernel_refuses_a_bad_row_like_the_scalar_path(tilt_blocks, bad):
+    m = np.diag([1.0, 1.0, 1.0, -1.0]) if bad == "indefinite" else np.eye(4)
+    if bad == "nan":
+        m[0, 2] = m[2, 0] = np.nan
+    with pytest.raises(NotPositiveDefinite) as scalar:
+        word_positivity_check(BlockMatrix.from_array(m, 2))
+    stack = np.stack([tilt_blocks().full, m, tilt_blocks().full])
+    with pytest.raises(NotPositiveDefinite) as stacked:
+        word_positivity_stack(stack)
+    assert str(stacked.value) == str(scalar.value)
+    for j in (0, 1):
+        with pytest.raises(NotPositiveDefinite):
+            criteria._untied_forms(stack, j)
 
 
 def _scale_cases(gen, count):

@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infdiv import (
+    BlockMatrix,
+    EigenPair2,
     InfdivError,
     NonFiniteResult,
     NotPositiveDefinite,
     SymMatrix,
     cholesky,
     eigen2,
+    eigen2_rows,
     eigen_sym,
     inverse_spd,
     is_positive_definite,
@@ -21,6 +24,7 @@ from infdiv import (
     symmetrize,
     top_eigenvalue,
 )
+from infdiv.sampling import random_tilt_like
 
 
 def test_symmetrize_averages():
@@ -269,3 +273,70 @@ def test_solve_and_inverse(covariances):
     inv = inverse_spd(m)
     npt.assert_allclose(inv, inv.T)
     npt.assert_allclose(m @ inv, np.eye(5), atol=1e-9)
+
+
+def _stack_cases(gen):
+    """Symmetric 2x2 .. 4x4 stacks with positive definite, indefinite,
+    singular, near-overflow, subnormal and non-finite members."""
+    for n in (2, 3, 4):
+        g = gen.standard_normal((40, n, n))
+        mats = list(np.swapaxes(g, 1, 2) @ g + 1e-3 * np.eye(n))
+        mats += list(g + np.swapaxes(g, 1, 2))  # mostly indefinite
+        mats += [np.zeros((n, n)), np.ones((n, n)), np.diag([1e308] + [1e300] * (n - 1)),
+                 np.diag([1e308] + [1.0] * (n - 1)), np.eye(n) * 5e-324, 2.0 ** -1000 * mats[0]]
+        for bad in (np.nan, np.inf):
+            m = np.eye(n)
+            m[0, 1] = m[1, 0] = bad
+            mats.append(m)
+        yield np.stack(mats)
+
+
+def test_stack_matches_one_at_a_time(rng):
+    for stack in _stack_cases(rng):
+        got = is_positive_definite(stack)
+        assert got.dtype == bool and got.shape == stack.shape[:1]
+        assert got.tolist() == [is_positive_definite(m) for m in stack]
+        assert got.any() and not got.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = symmetrize(stack)
+        assert all(np.array_equal(s, symmetrize(m), equal_nan=True) for s, m in zip(sym, stack))
+        finite = stack[np.isfinite(stack).all(axis=(1, 2))]
+        top = top_eigenvalue(finite)
+        assert top.tobytes() == np.array([top_eigenvalue(m) for m in finite]).tobytes()
+        with pytest.raises(NonFiniteResult):
+            top_eigenvalue(stack)
+
+
+def test_one_matrix_objects_refuse_a_stack():
+    stack = np.stack([np.eye(3), np.eye(3)])
+    with pytest.raises(ValueError, match="one square matrix"):
+        SymMatrix.from_array(stack)
+    with pytest.raises(ValueError, match="one square matrix"):
+        BlockMatrix.from_array(stack, 1)
+
+
+def test_eigen2_rows_is_eigen2_bitwise(rng):
+    mats = list(symmetrize(rng.standard_normal((300, 2, 2))))
+    mats += [np.eye(2) * 3.0, np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.zeros((2, 2)),
+             np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 1e-320], [1e-320, 1.0]]),
+             np.array([[1e308, 1e308], [1e308, -1e308]]), np.array([[5e-324, 5e-324], [5e-324, 0.0]])]
+    rows = eigen2_rows((a, b, c) for (a, b), (_, c) in np.stack(mats).tolist())
+    assert len(rows) == len(mats)
+    for row, m in zip(rows, mats):
+        got, want = EigenPair2.from_row(row), eigen2(m)
+        for field in ("lambda1", "lambda2", "v1", "v2"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert type(a) is type(b) and a.tobytes() == b.tobytes(), (m, field)
+    # v2 keeps +0.0 for v1 = (1, 0)
+    assert eigen2(np.eye(2)).v2.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_random_tilt_like_stack_is_sequential_calls(n):
+    stack = random_tilt_like(np.random.default_rng(n), n, size=257)
+    one_by_one = np.random.default_rng(n)
+    assert stack.shape == (257, n, n)
+    for m in stack:
+        assert m.tobytes() == random_tilt_like(one_by_one, n).tobytes()
+    assert random_tilt_like(one_by_one, n, size=(2, 3)).shape == (2, 3, n, n)

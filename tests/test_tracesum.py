@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,6 @@ from infdiv import (
     block_diagonalize,
     closed_sum_33,
     closed_sum_34,
-    coeff_table,
     compositions,
     double_bridge_trace,
     dp_grid,
@@ -20,6 +21,7 @@ from infdiv import (
     trace_sum_enum,
 )
 from infdiv.sampling import random_tilt_like
+from infdiv.tracesum import _advance
 
 # the 4x4 demonstration matrix, scaled to unit spectral radius; its top
 # eigenvalue and a handful of sums are frozen from an independent evaluation
@@ -104,6 +106,28 @@ def test_dp_cap():
     t = BlockMatrix.from_array(np.eye(4) * 0.5, 2)
     with pytest.raises(CapExceeded):
         trace_sum_dp(t, 201, 200)
+
+
+@dataclass(frozen=True)
+class CoeffTable:
+    """Matrix coefficients of (T S)^N as a polynomial in (s1, s2).
+
+    coeff[c] is the n x n coefficient of s1^c s2^(N-c); summing over c
+    reproduces T^N (substitute s1 = s2 = 1).
+    """
+
+    degree: int
+    n1: int
+    coeff: np.ndarray  # shape (degree + 1, n, n)
+
+
+def coeff_table(t: BlockMatrix, degree: int) -> CoeffTable:
+    """The full table of (T S)^degree, one _advance per degree: the oracle
+    the windowed dp_grid must reproduce bit for bit."""
+    coeff = np.eye(t.dim)[None, :, :]
+    for _ in range(degree):
+        coeff = _advance(coeff, t.full, t.n1)
+    return CoeffTable(degree=degree, n1=t.n1, coeff=coeff)
 
 
 def test_coeff_table_degree_one(tilt_blocks):
